@@ -6,8 +6,8 @@
 //       with superinstruction logging vs the per-op baseline (kOff), the
 //       19.6%-per-instruction overhead the cache was built to attack,
 //   (c) the wall-clock read-phase delta between the two, and
-//   (d) bit-identity of the state root across every cache mode (hard
-//       failure if violated — the §4.6 inertness claim).
+//   (d) bit-identity of the post-state between kShared and kOff (hard
+//       failure if violated — log granularity may change, results may not).
 // Emits BENCH_codecache.json for CI trending.
 #include <cstdio>
 
@@ -80,20 +80,10 @@ int main(int argc, char** argv) {
 
   // --- (b)+(c) Fused vs per-op log granularity and read wall. --------------
   ModeRun off_run = run_mode(CodeCacheMode::kOff);
-  ModeRun per_block_run = run_mode(CodeCacheMode::kPerBlock);
-  ModeRun uncached_run = run_mode(CodeCacheMode::kUncached);
 
-  // --- (d) Inertness: every mode must land on the same post-state. ---------
-  if (shared_run.digest != off_run.digest || shared_run.digest != per_block_run.digest ||
-      shared_run.digest != uncached_run.digest) {
+  // --- (d) Fused and per-op execution must land on the same post-state. ----
+  if (shared_run.digest != off_run.digest) {
     std::fprintf(stderr, "FATAL: code-cache mode changed the post-state digest\n");
-    return 1;
-  }
-  // Provider-backed modes must agree on the deterministic report fields too.
-  if (shared_run.oplog_entries != per_block_run.oplog_entries ||
-      shared_run.oplog_entries != uncached_run.oplog_entries ||
-      shared_run.makespan_ns != per_block_run.makespan_ns) {
-    std::fprintf(stderr, "FATAL: cache residency leaked into deterministic report fields\n");
     return 1;
   }
 
@@ -123,7 +113,7 @@ int main(int argc, char** argv) {
   std::printf("  read wall: %.2f ms fused vs %.2f ms per-op\n",
               static_cast<double>(shared_run.read_wall_ns) / 1e6,
               static_cast<double>(off_run.read_wall_ns) / 1e6);
-  std::printf("  state digest identical across kShared/kPerBlock/kUncached/kOff\n");
+  std::printf("  state digest identical across kShared/kOff\n");
 
   WriteBenchJson("BENCH_codecache.json", [&](JsonWriter& w) {
     w.BeginObject();

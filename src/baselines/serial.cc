@@ -22,22 +22,9 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   // Serial execution still benefits from the async pipeline: the engine
   // warms transaction i + depth's predicted keys while transaction i
   // executes (this is the paper's Table-2 "Prefetch" row, made wall-clock).
-  // In chain mode (external_warmup) the runner's stage 1 already warmed the
-  // block, so only the deterministic accounting remains.
-  if (store && !options_.external_warmup) {
-    store->BeginBlock();
-  }
-  const bool account_prefetch = store && options_.prefetch_depth > 0 && n > 0;
-  std::vector<PrefetchRequest> requests;
-  std::optional<PrefetchEngine> engine;
-  if (account_prefetch) {
-    requests = BuildPrefetchRequests(block);
-    if (!options_.external_warmup) {
-      engine.emplace(*store, requests, options_.prefetch_depth);
-    }
-  }
+  BlockPrefetch prefetch(block, options_, store);
   std::vector<ReadSet> observed;  // Per-tx read sets for prefetch accounting.
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     observed.reserve(n);
   }
 
@@ -45,9 +32,7 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   U256 fees;
   for (size_t i = 0; i < n; ++i) {
     const Transaction& tx = block.transactions[i];
-    if (engine) {
-      engine->NotifyStarted(i);
-    }
+    prefetch.NotifyStarted(i);
     std::optional<SimStoreReader> reader;
     std::optional<StateView> view;  // In-place: StateView is self-referential.
     if (store) {
@@ -62,7 +47,7 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
     uint64_t warm = TotalReadOps(receipt.stats) - std::min(TotalReadOps(receipt.stats), cold);
     t += cost.ExecutionCost(receipt.stats, cold, warm, /*with_ssa=*/false);
     report.instructions += receipt.stats.instructions;
-    if (account_prefetch) {
+    if (prefetch.accounting()) {
       observed.push_back(view->read_set());
     }
     if (receipt.valid) {
@@ -72,16 +57,13 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
     }
     report.receipts.push_back(std::move(receipt));
   }
-  if (engine) {
-    engine->Finish();
-    report.prefetch_wall_ns += engine->warm_wall_ns();
-  }
-  if (account_prefetch) {
+  prefetch.Finish(report);
+  if (prefetch.accounting()) {
     std::vector<const ReadSet*> reads(n, nullptr);
     for (size_t i = 0; i < n; ++i) {
       reads[i] = &observed[i];
     }
-    AccountPrefetch(*store, requests, reads, report);
+    prefetch.Account(reads, report);
   }
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t;

@@ -119,11 +119,11 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
     // (those reach the spec stage through the overlay instead).
     spec_base_.emplace(state_);
     state_.SetWriteObserver(&overlay_);
-    const int spec_width =
-        options_.spec_threads > 0
-            ? ThreadPool::ResolveWidth(options_.spec_threads)
-            : std::max(16, ThreadPool::ResolveWidth(options_.exec.os_threads));
-    spec_pool_ = std::make_unique<ThreadPool>(spec_width);
+    // The stage is latency-bound — its threads mostly sit in simulated-storage
+    // waits, and its results are boundary-validated anyway — so like prefetch
+    // workers its pool is wider than the execution width.
+    spec_pool_ = std::make_unique<ThreadPool>(
+        std::max(16, ThreadPool::ResolveWidth(options_.exec.os_threads)));
     // Depth 1 deliberately, regardless of queue_depth: the hand-off queue
     // bounds speculative run-ahead. With a deeper queue the spec stage races
     // several blocks past the commit frontier and nearly every overlay read

@@ -108,13 +108,6 @@ struct ChainOptions {
   // Ignored (stage not started) for executors whose seed_mode() is kSkip.
   bool speculate = false;
 
-  // Width of the speculation stage's read pool. The stage is latency-bound —
-  // its threads mostly sit in simulated-storage waits, and its results are
-  // boundary-validated anyway — so like prefetch workers it defaults wider
-  // than the execution width instead of inheriting exec.os_threads. 0 means
-  // max(16, resolved exec width). Wall-clock only, like everything here.
-  int spec_threads = 0;
-
   // Concurrent read-only query tier (DESIGN.md §4.7). When enabled the
   // runner owns a SnapshotRegistry: the seed root is published at
   // construction and stage 3 publishes every committed (block, root, diff)

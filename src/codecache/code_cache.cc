@@ -33,7 +33,7 @@ std::shared_ptr<const CodeAnalysis> CodeCache::Analyze(const Bytes& code, const 
   bool built = false;
   std::call_once(entry->analyze_once, [&] {
     auto start = std::chrono::steady_clock::now();
-    entry->analysis = AnalyzeCode(code, h, config_.fuse);
+    entry->analysis = AnalyzeCode(code, h, fuse_);
     auto elapsed = std::chrono::steady_clock::now() - start;
     built = true;
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -50,8 +50,7 @@ std::shared_ptr<const CodeAnalysis> CodeCache::Analyze(const Bytes& code, const 
   }
 
   uint64_t n = entry->invocations.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.promote_threshold > 0 &&
-      n >= static_cast<uint64_t>(config_.promote_threshold) &&
+  if (promote_threshold_ > 0 && n >= static_cast<uint64_t>(promote_threshold_) &&
       entry->analysis->program.load(std::memory_order_acquire) == nullptr) {
     std::call_once(entry->promote_once, [&] {
       CodeAnalysis& analysis = *entry->analysis;
@@ -77,50 +76,14 @@ CodeCache::Stats CodeCache::GetStats() const {
   return stats;
 }
 
-std::shared_ptr<const CodeAnalysis> UncachedCodeProvider::Analyze(const Bytes& code,
-                                                                  const Hash256* hash) {
-  Hash256 h = hash != nullptr ? *hash : Keccak256(BytesView(code.data(), code.size()));
-  return AnalyzeCode(code, h, fuse_);
-}
-
 CodeCache& SharedCodeCache(bool fuse) {
-  static CodeCache fused{CodeCacheConfig{CodeCacheMode::kShared, /*promote_threshold=*/8,
-                                         /*fuse=*/true}};
-  static CodeCache plain{CodeCacheConfig{CodeCacheMode::kShared, /*promote_threshold=*/8,
-                                         /*fuse=*/false}};
+  static CodeCache fused{/*fuse=*/true};
+  static CodeCache plain{/*fuse=*/false};
   return fuse ? fused : plain;
 }
-
-namespace {
-
-UncachedCodeProvider& StaticUncachedProvider(bool fuse) {
-  static UncachedCodeProvider fused{/*fuse=*/true};
-  static UncachedCodeProvider plain{/*fuse=*/false};
-  return fuse ? fused : plain;
-}
-
-}  // namespace
 
 CodeProvider* StaticCodeProvider(const CodeCacheConfig& config) {
-  switch (config.mode) {
-    case CodeCacheMode::kShared:
-      return &SharedCodeCache(config.fuse);
-    case CodeCacheMode::kPerBlock:
-    case CodeCacheMode::kUncached:
-      return &StaticUncachedProvider(config.fuse);
-    case CodeCacheMode::kOff:
-      return nullptr;
-  }
-  return nullptr;
-}
-
-CodeProvider* ResolveCodeProvider(const CodeCacheConfig& config,
-                                  std::unique_ptr<CodeCache>& slot) {
-  if (config.mode == CodeCacheMode::kPerBlock) {
-    slot = std::make_unique<CodeCache>(config);
-    return slot.get();
-  }
-  return StaticCodeProvider(config);
+  return config.mode == CodeCacheMode::kShared ? &SharedCodeCache(config.fuse) : nullptr;
 }
 
 }  // namespace pevm

@@ -30,13 +30,17 @@ class CodeCache : public CodeProvider {
     uint64_t entries = 0;     // Distinct code hashes resident.
   };
 
-  explicit CodeCache(CodeCacheConfig config = {}) : config_(config) {}
+  // Invocations of one code hash before the tier-1 decoded program is built
+  // (the process-wide caches use this default; 0 never promotes).
+  static constexpr int kDefaultPromoteThreshold = 8;
+
+  explicit CodeCache(bool fuse = true, int promote_threshold = kDefaultPromoteThreshold)
+      : fuse_(fuse), promote_threshold_(promote_threshold) {}
 
   std::shared_ptr<const CodeAnalysis> Analyze(const Bytes& code, const Hash256* hash) override;
-  bool fused() const override { return config_.fuse; }
+  bool fused() const override { return fuse_; }
 
   Stats GetStats() const;
-  const CodeCacheConfig& config() const { return config_; }
 
  private:
   struct Entry {
@@ -62,42 +66,23 @@ class CodeCache : public CodeProvider {
 
   static constexpr size_t kShards = 16;
 
-  CodeCacheConfig config_;
+  const bool fuse_;
+  const int promote_threshold_;
   Shard shards_[kShards];
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> promotions_{0};
 };
 
-// Memoization-free provider: runs the analysis on every call. The ablation
-// baseline proving the cache is inert — same pure function, zero reuse.
-class UncachedCodeProvider : public CodeProvider {
- public:
-  explicit UncachedCodeProvider(bool fuse) : fuse_(fuse) {}
-  std::shared_ptr<const CodeAnalysis> Analyze(const Bytes& code, const Hash256* hash) override;
-  bool fused() const override { return fuse_; }
-
- private:
-  bool fuse_;
-};
-
 // The process-wide shared cache (one per fuse setting; default promotion
 // threshold). Persists across blocks, executors and chain runs.
 CodeCache& SharedCodeCache(bool fuse);
 
-// Provider for call sites that need static lifetime (chain spec stage,
-// FullReexecute fallbacks, baselines): kShared -> the shared cache,
-// kPerBlock/kUncached -> a static uncached provider with the same fuse (so
-// log granularity always matches the block's read phase), kOff -> nullptr.
+// The provider for every site that speculates or re-executes a block's
+// transactions (read phase, chain spec stage, FullReexecute fallbacks,
+// baselines): kShared -> the shared cache with the configured fuse setting,
+// so log granularity always matches across the block; kOff -> nullptr.
 CodeProvider* StaticCodeProvider(const CodeCacheConfig& config);
-
-// Provider for a read phase. kPerBlock constructs a fresh cache into `slot`
-// (honoring config.promote_threshold); the other modes behave like
-// StaticCodeProvider and leave `slot` empty. Per-block caches may be
-// destroyed before the block's oplog: log entries keep their expressions
-// alive via shared_ptr (see program.h).
-CodeProvider* ResolveCodeProvider(const CodeCacheConfig& config,
-                                  std::unique_ptr<CodeCache>& slot);
 
 }  // namespace pevm
 

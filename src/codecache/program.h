@@ -157,24 +157,19 @@ class CodeProvider {
   virtual bool fused() const { return true; }
 };
 
-// Cache deployment mode. All modes with a provider are *bit-identical* in
-// every deterministic output (roots, receipts, oplog_entries, redo counters,
-// makespan): they memoize the same pure analysis function, differing only in
-// how often it actually runs (wall clock). kOff removes the provider
-// entirely — the interpreter falls back to per-op dispatch and per-op SSA
-// logging, which preserves roots/receipts/gas/instructions but logs at the
-// old one-entry-per-instruction granularity (the §6.4 ablation baseline).
+// Cache deployment mode. kShared runs every analysis through the
+// process-wide cache; because the analysis is a pure function of the bytes,
+// whether a hash is cold or warm there moves wall clock only. kOff removes the
+// provider entirely — the interpreter falls back to per-op dispatch and per-op
+// SSA logging, which preserves roots/receipts/gas/instructions but logs at
+// the old one-entry-per-instruction granularity (the §6.4 ablation baseline).
 enum class CodeCacheMode : uint8_t {
-  kShared,    // Process-wide cache, persists across blocks and executors.
-  kPerBlock,  // Fresh cache per read phase (every block analyzes cold).
-  kUncached,  // Analyze every invocation (no memoization, no tier 1).
-  kOff,       // No provider: legacy per-op dispatch and logging.
+  kShared,  // Process-wide cache, persists across blocks and executors.
+  kOff,     // No provider: legacy per-op dispatch and logging.
 };
 
 struct CodeCacheConfig {
   CodeCacheMode mode = CodeCacheMode::kShared;
-  // Invocations of one code hash before the tier-1 decoded program is built.
-  int promote_threshold = 8;
   // Fuse straight-line runs into superinstructions (and log at that
   // granularity). Disabling keeps tier-0 caching (jumpdest bitmaps) but logs
   // per-op — the oplog-overhead ablation axis.

@@ -49,13 +49,11 @@ struct ExecOptions {
   // latencies (the default) keep the store as pure residency bookkeeping.
   SimStoreConfig storage;
   // Per-code-hash analysis cache + superinstruction fusion (src/codecache).
-  // Every provider-backed mode (kShared/kPerBlock/kUncached) is bit-identical
-  // in all deterministic BlockReport fields — the cache memoizes a pure
-  // function of the bytecode; only wall clock moves. kOff removes the
-  // provider: roots/receipts/gas/instructions unchanged, but the SSA log
-  // returns to per-op granularity (more oplog_entries, different redo
-  // counters — the §6.4 ablation baseline). `fuse` toggles the granularity on
-  // its own axis.
+  // kShared memoizes a pure function of the bytecode, so cache residency
+  // (cold or warm) moves wall clock only. kOff removes the provider:
+  // roots/receipts/gas/instructions unchanged, but the SSA log returns to
+  // per-op granularity (more oplog_entries, different redo counters — the
+  // §6.4 ablation baseline). `fuse` toggles the granularity on its own axis.
   CodeCacheConfig code_cache;
   // Chain-runner handoff (src/chain): when true, a ChainRunner owns the
   // SimStore lifecycle — Execute neither clears residency (BeginBlock) nor
@@ -118,15 +116,14 @@ class ConflictAttribution {
   std::unordered_map<StateKey, Counts, StateKeyHash> stats_;
 };
 
-struct BlockReport {
-  uint64_t makespan_ns = 0;
-
-  // Real wall-clock measurements (the virtual-time makespan above stays the
-  // paper-figure oracle; these report what the hardware actually did). The
-  // only BlockReport fields allowed to vary with ExecOptions::os_threads.
-  uint64_t wall_ns = 0;         // Whole Execute() call.
-  uint64_t read_wall_ns = 0;    // Parallel speculation (read phase).
-  uint64_t commit_wall_ns = 0;  // Validate/redo/write sweep.
+// The determinism contract (DESIGN.md §3, item 2): every field is a pure
+// function of the block, the pre-state and the executor's deterministic
+// options. OS-thread count, the prefetch engine's progress, cross-block
+// speculation, code-cache residency, telemetry, the ops plane and the query
+// tier may not move any of them, so two runs that differ only in those compare
+// equal under the defaulted operator==.
+struct DeterministicBlockReport {
+  uint64_t makespan_ns = 0;  // Virtual-time oracle (the paper-figure clock).
 
   // Conflict-resolution statistics.
   int conflicts = 0;       // Transactions that failed validation.
@@ -142,21 +139,33 @@ struct BlockReport {
   // Async-prefetch accounting (all zero unless ExecOptions::prefetch_depth
   // > 0). hits/misses classify each transaction's observed reads against its
   // predicted access set; wasted counts predicted keys no transaction read.
-  // All three are computed on the deterministic block-order pass, so they are
-  // OS-thread-count invariant; prefetch_wall_ns is the engine's real warm-up
-  // time and belongs with the wall-clock fields above.
+  // All three are computed on the block-order pass, not by the engine.
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_misses = 0;
   uint64_t prefetch_wasted = 0;
-  uint64_t prefetch_wall_ns = 0;
 
   // Hot-key conflict histogram (hottest first, ConflictAttribution::Sorted
   // order). Empty for executors without read validation (serial, 2PL).
-  // Deterministic: recorded on the block-order commit path.
+  // Recorded on the block-order commit path.
   std::vector<ConflictKeyStats> conflict_keys;
 
   std::vector<Receipt> receipts;
+
+  friend bool operator==(const DeterministicBlockReport&,
+                         const DeterministicBlockReport&) = default;
 };
+
+// Real wall-clock measurements: what the hardware actually did. The only
+// BlockReport fields allowed to vary with OS threads, speculation and the
+// other wall-clock-only features.
+struct WallClockBlockReport {
+  uint64_t wall_ns = 0;           // Whole Execute() call.
+  uint64_t read_wall_ns = 0;      // Parallel speculation (read phase).
+  uint64_t commit_wall_ns = 0;    // Validate/redo/write sweep.
+  uint64_t prefetch_wall_ns = 0;  // The prefetch engine's real warm-up time.
+};
+
+struct BlockReport : DeterministicBlockReport, WallClockBlockReport {};
 
 // Sums every additive BlockReport field (virtual makespan, wall clocks,
 // conflict/redo/prefetch counters) across `reports` and re-aggregates the

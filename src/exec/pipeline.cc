@@ -159,35 +159,15 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   phase.specs.resize(n);
   phase.durations.assign(n, 0);
 
-  // Code-cache provider for this read phase. kPerBlock owns a fresh cache for
-  // the duration of this call — safe even though oplogs outlive it, because
-  // log entries hold their fused expressions by shared_ptr.
-  std::unique_ptr<CodeCache> per_block_cache;
-  CodeProvider* provider = ResolveCodeProvider(options.code_cache, per_block_cache);
+  CodeProvider* provider = StaticCodeProvider(options.code_cache);
 
-  if (store && !options.external_warmup) {
-    store->BeginBlock();
-  }
-  // The deterministic prefetch accounting (and hint learning) runs whenever
-  // the async pipeline is requested; the engine itself only when this call
-  // owns the warm-up (a chain runner's stage 1 already warmed the block).
-  const bool account_prefetch = store && options.prefetch_depth > 0 && n > 0;
-  std::vector<PrefetchRequest> requests;
-  std::optional<PrefetchEngine> engine;
-  if (account_prefetch) {
-    requests = BuildPrefetchRequests(block);
-    if (!options.external_warmup) {
-      engine.emplace(*store, requests, options.prefetch_depth);
-    }
-  }
+  BlockPrefetch prefetch(block, options, store);
 
   // Parallel section: each index touches only the read-only committed state
   // and its own Speculation slot (the prefetch engine warms the store's
   // residency set concurrently, but never values).
   auto speculate_one = [&](size_t i) {
-    if (engine) {
-      engine->NotifyStarted(i);
-    }
+    prefetch.NotifyStarted(i);
     if (modes[i] == SpecMode::kSkip) {
       return;
     }
@@ -213,10 +193,7 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   } else {
     PoolFor(width).ParallelFor(n, speculate_one);
   }
-  if (engine) {
-    engine->Finish();
-    report.prefetch_wall_ns += engine->warm_wall_ns();
-  }
+  prefetch.Finish(report);
 
   // Order-dependent accounting runs strictly in block order on this thread,
   // so cold/warm classification and report counters are identical for every
@@ -233,14 +210,14 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
     report.oplog_entries += spec.log.size();
     report.instructions += spec.receipt.stats.instructions;
   }
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     std::vector<const ReadSet*> reads(n, nullptr);
     for (size_t i = 0; i < n; ++i) {
       if (modes[i] != SpecMode::kSkip) {
         reads[i] = &phase.specs[i].reads;
       }
     }
-    AccountPrefetch(*store, requests, reads, report);
+    prefetch.Account(reads, report);
   }
   report.read_wall_ns += timer.ElapsedNs();
   return phase;
@@ -272,15 +249,38 @@ std::vector<PrefetchRequest> BuildPrefetchRequests(const Block& block) {
   return requests;
 }
 
-void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& requests,
-                     const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report) {
-  size_t n = requests.size();
+BlockPrefetch::BlockPrefetch(const Block& block, const ExecOptions& options, SimStore* store)
+    : store_(store) {
+  if (store == nullptr) {
+    return;
+  }
+  if (!options.external_warmup) {
+    store->BeginBlock();
+  }
+  if (options.prefetch_depth > 0 && !block.transactions.empty()) {
+    requests_ = BuildPrefetchRequests(block);
+    if (!options.external_warmup) {
+      engine_.emplace(*store, requests_, options.prefetch_depth);
+    }
+  }
+}
+
+void BlockPrefetch::Finish(BlockReport& report) {
+  if (engine_) {
+    engine_->Finish();
+    report.prefetch_wall_ns += engine_->warm_wall_ns();
+  }
+}
+
+void BlockPrefetch::Account(const std::vector<const ReadSet*>& reads_per_tx,
+                            BlockReport& report) {
+  size_t n = requests_.size();
   // Predictions are computed for every transaction *before* any hint update,
   // matching what the engine (which ran against the block-start hint table)
   // actually issued.
   std::vector<std::vector<StateKey>> predicted(n);
   for (size_t i = 0; i < n; ++i) {
-    predicted[i] = store.PredictSet(requests[i]);
+    predicted[i] = store_->PredictSet(requests_[i]);
   }
   std::unordered_set<StateKey, StateKeyHash> predicted_union;
   std::unordered_set<StateKey, StateKeyHash> read_union;
@@ -307,7 +307,7 @@ void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& reques
   }
   for (size_t i = 0; i < n; ++i) {
     if (reads_per_tx[i]) {
-      store.RecordObserved(requests[i], *reads_per_tx[i]);
+      store_->RecordObserved(requests_[i], *reads_per_tx[i]);
     }
   }
 }

@@ -83,13 +83,8 @@ struct ReadPhase {
 // counters) as a deterministic block-order pass on the calling thread. Adds
 // the elapsed wall time to report.read_wall_ns.
 //
-// When `store` is set, reads pay the simulated storage latency; when
-// additionally `options.prefetch_depth` > 0, a background PrefetchEngine
-// warms the predicted access set of transaction i+depth while transaction i
-// executes, and the deterministic prefetch hit/miss/wasted counters land in
-// `report`. With `options.external_warmup` a chain runner already warmed the
-// block (and owns residency), so the per-block BeginBlock and the engine are
-// skipped — the deterministic accounting still runs.
+// When `store` is set, reads pay the simulated storage latency and the
+// block's prefetch pipeline runs as BlockPrefetch describes.
 //
 // When `seeds` is set, a transaction with an engaged seed entry adopts that
 // record instead of speculating (its boundary validation already proved it
@@ -108,18 +103,49 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state, SpecMode mod
                        SimStore* store, BlockReport& report, BoundarySeeds* seeds = nullptr);
 
 // Builds the per-transaction static access-set predictions (envelope
-// accounts + calldata selector) the PrefetchEngine and AccountPrefetch
+// accounts + calldata selector) the PrefetchEngine and BlockPrefetch
 // consume.
 std::vector<PrefetchRequest> BuildPrefetchRequests(const Block& block);
 
-// Deterministic prefetch accounting, run on the block-order pass after the
-// engine has been joined: classifies every observed read as a prefetch hit
-// (its key was in the transaction's predicted set) or miss, counts predicted
-// keys nothing read as wasted, then feeds the observed storage keys back
-// into the store's hint table. reads_per_tx entries may be null (skipped /
-// never-executed transactions).
-void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& requests,
-                     const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report);
+// One block's async-prefetch pipeline, shared by every executor that owns a
+// SimStore (the read phase, serial, Block-STM); constructed before the
+// block's first transaction starts. Unless a chain runner owns the warm-up
+// (ExecOptions::external_warmup: its stage 1 already warmed the block and
+// owns residency), the constructor clears the store's residency for the block
+// and, when prefetch_depth > 0, starts a PrefetchEngine that warms
+// transaction i+depth's predicted access set while transaction i executes.
+// The deterministic hit/miss/wasted accounting runs whenever
+// prefetch_depth > 0, warm-up owner or not. A null store disables all of it.
+class BlockPrefetch {
+ public:
+  BlockPrefetch(const Block& block, const ExecOptions& options, SimStore* store);
+  BlockPrefetch(const BlockPrefetch&) = delete;
+  BlockPrefetch& operator=(const BlockPrefetch&) = delete;
+
+  // True when the prefetch counters are live: call Account once the block's
+  // reads are known.
+  bool accounting() const { return !requests_.empty(); }
+  // Transaction `i` started executing (paces the engine's run-ahead).
+  void NotifyStarted(size_t i) {
+    if (engine_) {
+      engine_->NotifyStarted(i);
+    }
+  }
+  // Joins the engine and books its warm-up time into report.prefetch_wall_ns.
+  // Call before Account: the hint table it updates must be quiescent.
+  void Finish(BlockReport& report);
+  // The deterministic accounting, run on the block-order pass: classifies
+  // every observed read as a prefetch hit (its key was in the transaction's
+  // predicted set) or miss, counts predicted keys nothing read as wasted,
+  // then feeds the observed storage keys back into the store's hint table.
+  // reads_per_tx entries may be null (skipped / never-executed transactions).
+  void Account(const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report);
+
+ private:
+  SimStore* store_;
+  std::vector<PrefetchRequest> requests_;  // Empty unless accounting.
+  std::optional<PrefetchEngine> engine_;
+};
 
 // Validation scan: every read whose committed value changed since
 // speculation, mapped to the freshly committed value (the redo phase's patch

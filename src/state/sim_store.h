@@ -16,7 +16,7 @@
 // receipts and the virtual makespan are bit-identical with prefetching on or
 // off, at every thread count. Only the wall-clock BlockReport fields (and the
 // separately computed, deterministic prefetch hit/miss/wasted counters — see
-// AccountPrefetch in src/exec/pipeline.h) react to this machinery.
+// BlockPrefetch in src/exec/pipeline.h) react to this machinery.
 #ifndef SRC_STATE_SIM_STORE_H_
 #define SRC_STATE_SIM_STORE_H_
 

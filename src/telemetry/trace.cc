@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 namespace pevm::telemetry {
@@ -57,15 +58,30 @@ Registry& GlobalRegistry() {
   return *registry;
 }
 
+// A thread's telemetry identity. The ring (~1.5 MB at the default capacity,
+// all of it resident once zero-filled) is created on the thread's first event,
+// not when the thread is named: most pool, stage and serving threads are named
+// and never record because tracing is off by default.
+struct LocalThread {
+  std::string name = "thread";
+  std::shared_ptr<ThreadBuffer> buffer;
+};
+
+LocalThread& Local() {
+  thread_local LocalThread local;
+  return local;
+}
+
 ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
+  LocalThread& local = Local();
+  if (!local.buffer) {
     Registry& registry = GlobalRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
-    auto b = std::make_shared<ThreadBuffer>(registry.ring_capacity, registry.next_tid++);
-    registry.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+    local.buffer = std::make_shared<ThreadBuffer>(registry.ring_capacity, registry.next_tid++);
+    local.buffer->name = local.name;
+    registry.buffers.push_back(local.buffer);
+  }
+  return *local.buffer;
 }
 
 void Push(EventKind kind, const char* name, uint64_t begin_ns, uint64_t end_ns,
@@ -120,9 +136,12 @@ void Reset() {
 }
 
 void SetThreadName(const char* name) {
-  ThreadBuffer& buffer = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buffer.name_mu);
-  buffer.name = name;
+  LocalThread& local = Local();
+  local.name = name;
+  if (local.buffer) {
+    std::lock_guard<std::mutex> lock(local.buffer->name_mu);
+    local.buffer->name = name;
+  }
 }
 
 size_t SetRingCapacity(size_t events) {

@@ -55,7 +55,8 @@ void Reset();
 
 // Names the calling thread in the exported trace ("chain-exec", "kv-compact",
 // ...). Idempotent; last call wins. Safe before or after the thread's first
-// event.
+// event. Naming alone allocates no ring buffer: a thread that never records
+// an event never registers.
 void SetThreadName(const char* name);
 
 // Ring capacity (events per thread) for buffers registered *after* the call;
@@ -129,7 +130,8 @@ bool WriteChromeTrace(const std::string& path);
 // threads (also embedded in the export as metadata).
 uint64_t DroppedEvents();
 
-// Registered thread-buffer count (test introspection).
+// Registered thread-buffer count: threads that have recorded at least one
+// event (test introspection).
 size_t RegisteredThreads();
 
 // Live per-thread ring introspection. Sampled while writers keep pushing:

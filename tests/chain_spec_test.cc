@@ -32,6 +32,7 @@
 #include "src/chain/chain_runner.h"
 #include "src/workload/block_gen.h"
 #include "src/workload/contracts.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 
@@ -146,38 +147,6 @@ void ExpectRootsMatchOracle(const ChainReport& report, const ChainCase& chain,
   }
 }
 
-// Every deterministic BlockReport field, bit for bit — receipts via the full
-// defaulted operator== (output and stats included), conflict histograms via
-// theirs. The wall-clock fields (wall_ns / read_wall_ns / commit_wall_ns /
-// prefetch_wall_ns) are deliberately absent: they are the only fields
-// speculation is allowed to move.
-void ExpectDeterministicReportsIdentical(const std::vector<BlockReport>& off,
-                                         const std::vector<BlockReport>& on,
-                                         const std::string& label) {
-  ASSERT_EQ(off.size(), on.size()) << label;
-  for (size_t b = 0; b < off.size(); ++b) {
-    SCOPED_TRACE(testing::Message() << label << " block " << b);
-    EXPECT_EQ(off[b].makespan_ns, on[b].makespan_ns);
-    EXPECT_EQ(off[b].conflicts, on[b].conflicts);
-    EXPECT_EQ(off[b].redo_success, on[b].redo_success);
-    EXPECT_EQ(off[b].redo_fail, on[b].redo_fail);
-    EXPECT_EQ(off[b].full_reexecutions, on[b].full_reexecutions);
-    EXPECT_EQ(off[b].lock_aborts, on[b].lock_aborts);
-    EXPECT_EQ(off[b].redo_entries_reexecuted, on[b].redo_entries_reexecuted);
-    EXPECT_EQ(off[b].redo_ns, on[b].redo_ns);
-    EXPECT_EQ(off[b].oplog_entries, on[b].oplog_entries);
-    EXPECT_EQ(off[b].instructions, on[b].instructions);
-    EXPECT_EQ(off[b].prefetch_hits, on[b].prefetch_hits);
-    EXPECT_EQ(off[b].prefetch_misses, on[b].prefetch_misses);
-    EXPECT_EQ(off[b].prefetch_wasted, on[b].prefetch_wasted);
-    EXPECT_EQ(off[b].conflict_keys, on[b].conflict_keys);
-    ASSERT_EQ(off[b].receipts.size(), on[b].receipts.size());
-    for (size_t i = 0; i < off[b].receipts.size(); ++i) {
-      EXPECT_EQ(off[b].receipts[i], on[b].receipts[i]) << "tx " << i;
-    }
-  }
-}
-
 TEST(ChainSpecDifferentialTest, SpeculationIsBitInvisibleAcrossRandomChains) {
   uint64_t total_blocks_speculated = 0;
   uint64_t total_txs_launched = 0;
@@ -219,8 +188,8 @@ TEST(ChainSpecDifferentialTest, SpeculationIsBitInvisibleAcrossRandomChains) {
         ExpectRootsMatchOracle(on.report, chain, label + " spec=on");
         ASSERT_EQ(off.final_state, chain.oracle_final) << label << " spec=off";
         ASSERT_EQ(on.final_state, chain.oracle_final) << label << " spec=on";
-        ExpectDeterministicReportsIdentical(off.report.block_reports, on.report.block_reports,
-                                            label);
+        ExpectSameDeterministicRun({off.report.roots, off.report.block_reports},
+                                   {on.report.roots, on.report.block_reports});
 
         // Speculation-off runs must not even start the stage.
         EXPECT_EQ(off.report.speculation.blocks_speculated, 0u);

@@ -2,8 +2,9 @@
 // cross-block speculation engaged) must be invisible to results. Per-block
 // state roots out of the incremental committer are bit-identical to a serial
 // per-block from-scratch StateRoot() recomputation for every executor, OS
-// thread count, queue depth, commit-overlap and speculation setting; virtual
-// makespans match direct (non-chained) execution; and shutdown — graceful or
+// thread count, queue depth, commit-overlap and speculation setting; roots and
+// deterministic reports (virtual makespans included) match direct
+// (non-chained) execution; and shutdown — graceful or
 // aborted mid-stream, speculative block in flight or not — always leaves a
 // consistent committed prefix.
 //
@@ -21,6 +22,7 @@
 
 #include "src/chain/chain_runner.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -164,13 +166,13 @@ TEST_F(ChainRunnerTest, VirtualMakespansMatchDirectExecution) {
   const Stream& stream = GetStream(9200, 4);
   for (ExecutorKind kind : kAllExecutors) {
     SCOPED_TRACE(ExecutorKindName(kind));
-    // Direct, non-pipelined execution is the virtual-time reference.
+    // Direct, non-pipelined execution is the reference.
     std::unique_ptr<Executor> direct = MakeExecutor(kind, ExecOptions{});
     WorldState state = stream.genesis;
-    std::vector<uint64_t> direct_makespans;
-    for (const Block& block : stream.blocks) {
-      direct_makespans.push_back(direct->Execute(block, state).makespan_ns);
-    }
+    BlockRun direct_run = RunBlocks(state, stream.blocks, [&](const Block& block, WorldState& s) {
+      return direct->Execute(block, s);
+    });
+    direct_run.roots = {state.StateRoot()};
     for (int os_threads : {1, 16}) {
       SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
       ChainOptions options;
@@ -181,10 +183,8 @@ TEST_F(ChainRunnerTest, VirtualMakespansMatchDirectExecution) {
         ASSERT_TRUE(runner.Submit(block));
       }
       ChainReport report = runner.Finish();
-      ASSERT_EQ(report.block_reports.size(), direct_makespans.size());
-      for (size_t b = 0; b < direct_makespans.size(); ++b) {
-        EXPECT_EQ(report.block_reports[b].makespan_ns, direct_makespans[b]) << "block " << b;
-      }
+      ASSERT_FALSE(report.roots.empty());
+      ExpectSameDeterministicRun(direct_run, {{report.roots.back()}, report.block_reports});
     }
   }
 }
@@ -242,13 +242,7 @@ TEST_F(ChainRunnerTest, SpeculationKeepsRootsAndDeterministicReportsIdentical) {
     EXPECT_EQ(off.speculation.blocks_speculated, 0u);
     EXPECT_GT(on.speculation.blocks_speculated, 0u);
     EXPECT_GT(on.speculation.txs_launched, 0u);
-    ASSERT_EQ(off.block_reports.size(), on.block_reports.size());
-    for (size_t b = 0; b < off.block_reports.size(); ++b) {
-      EXPECT_EQ(off.block_reports[b].makespan_ns, on.block_reports[b].makespan_ns)
-          << "block " << b;
-      EXPECT_EQ(off.block_reports[b].conflicts, on.block_reports[b].conflicts) << "block " << b;
-      ASSERT_EQ(off.block_reports[b].receipts, on.block_reports[b].receipts) << "block " << b;
-    }
+    ExpectSameDeterministicRun({off.roots, off.block_reports}, {on.roots, on.block_reports});
   }
 }
 

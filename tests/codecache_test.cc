@@ -1,8 +1,8 @@
 // The code-cache contract (DESIGN.md §4.6): tier-0 analysis is a pure static
 // function of (bytecode, fuse) computed exactly once per code hash no matter
 // how many threads race on it; superinstruction execution and logging are
-// bit-equivalent to the per-op path; and cache deployment mode — cold,
-// warm, per-block, uncached — is invisible in every deterministic output.
+// bit-equivalent to the per-op path; and cache warmth — cold or warm — is
+// invisible in every deterministic output.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -20,6 +20,7 @@
 #include "src/evm/interpreter.h"
 #include "src/state/state_view.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -183,9 +184,7 @@ TEST(CodeCacheTest, NullHashFallsBackToHashingTheBytes) {
 }
 
 TEST(CodeCacheTest, PromotesAtThresholdExactlyOnce) {
-  CodeCacheConfig config;
-  config.promote_threshold = 3;
-  CodeCache cache(config);
+  CodeCache cache(/*fuse=*/true, /*promote_threshold=*/3);
   Bytes code = Code({0x60, 0x01, 0x60, 0x02, 0x01, 0x00});
   Hash256 hash = HashOf(code);
   auto a1 = cache.Analyze(code, &hash);
@@ -209,9 +208,7 @@ TEST(CodeCacheTest, PromotesAtThresholdExactlyOnce) {
 // analyzed exactly once and promoted exactly once, and every thread must see
 // the same analysis object. (scripts/check_tsan.sh runs this under TSan.)
 TEST(CodeCacheTest, ConcurrentLookupsAnalyzeOncePerHash) {
-  CodeCacheConfig config;
-  config.promote_threshold = 4;
-  CodeCache cache(config);
+  CodeCache cache(/*fuse=*/true, /*promote_threshold=*/4);
   constexpr int kCodes = 8;
   constexpr int kThreads = 16;
   constexpr int kIters = 200;
@@ -325,7 +322,7 @@ RunOutcome RunWith(const Bytes& code, uint64_t data_seed, CodeProvider* provider
 // interpreter on arbitrary bytecode, with and without the SSA builder.
 TEST(FusedExecutionTest, RandomBytecodeMatchesPerOpExecution) {
   std::mt19937_64 rng(0xCACE);
-  UncachedCodeProvider provider(/*fuse=*/true);
+  CodeCache provider(/*fuse=*/true, /*promote_threshold=*/0);  // Tier 0 only.
   for (int i = 0; i < 600; ++i) {
     Bytes code = RandomCode(rng, 96);
     uint64_t data_seed = rng();
@@ -351,12 +348,8 @@ TEST(FusedExecutionTest, PromotedDispatchMatchesUnpromoted) {
   for (int i = 0; i < 200; ++i) {
     Bytes code = RandomCode(rng, 96);
     uint64_t data_seed = rng();
-    CodeCacheConfig cold_config;
-    cold_config.promote_threshold = 1'000'000;  // Never promotes.
-    CodeCache cold(cold_config);
-    CodeCacheConfig hot_config;
-    hot_config.promote_threshold = 1;  // Promotes on first invocation.
-    CodeCache hot(hot_config);
+    CodeCache cold(/*fuse=*/true, /*promote_threshold=*/0);  // Never promotes.
+    CodeCache hot(/*fuse=*/true, /*promote_threshold=*/1);   // Promotes on first invocation.
     RunOutcome tier0 = RunWith(code, data_seed, &cold, /*with_log=*/true);
     RunOutcome tier1 = RunWith(code, data_seed, &hot, /*with_log=*/true);
     ASSERT_EQ(tier1.status, tier0.status) << HexEncode(code);
@@ -373,7 +366,7 @@ TEST(FusedExecutionTest, PromotedDispatchMatchesUnpromoted) {
 // set must match full re-execution exactly (the kSuperOp redo case).
 TEST(FusedExecutionTest, RedoOverFusedLogsMatchesReexecutionOracle) {
   std::mt19937_64 rng(0xF00D);
-  UncachedCodeProvider provider(/*fuse=*/true);
+  CodeCache provider(/*fuse=*/true, /*promote_threshold=*/0);  // Tier 0 only.
   int checked = 0;
   int super_entries = 0;
   for (int trial = 0; trial < 200; ++trial) {
@@ -448,11 +441,6 @@ TEST(FusedExecutionTest, RedoOverFusedLogsMatchesReexecutionOracle) {
 
 // --- Executor-level differential battery. ----------------------------------
 
-struct ModeResult {
-  std::string root;
-  std::vector<BlockReport> reports;
-};
-
 class CodeCacheDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -468,34 +456,18 @@ class CodeCacheDifferentialTest : public ::testing::Test {
     blocks_.push_back(gen_->MakeBlock());
   }
 
-  ModeResult Run(CodeCacheMode mode, int os_threads, int promote_threshold = 8) {
+  BlockRun Run(CodeCacheMode mode, int os_threads) {
     ExecOptions options;
     options.threads = 8;
     options.os_threads = os_threads;
     options.code_cache.mode = mode;
-    options.code_cache.promote_threshold = promote_threshold;
     WorldState state = genesis_;
     ParallelEvmExecutor executor(options);
-    ModeResult result;
-    for (const Block& block : blocks_) {
-      result.reports.push_back(executor.Execute(block, state));
-    }
-    result.root = HexEncode(state.StateRoot());
-    return result;
-  }
-
-  static void ExpectDeterministicFieldsEqual(const BlockReport& a, const BlockReport& b) {
-    EXPECT_EQ(a.makespan_ns, b.makespan_ns);
-    EXPECT_EQ(a.conflicts, b.conflicts);
-    EXPECT_EQ(a.redo_success, b.redo_success);
-    EXPECT_EQ(a.redo_fail, b.redo_fail);
-    EXPECT_EQ(a.full_reexecutions, b.full_reexecutions);
-    EXPECT_EQ(a.redo_entries_reexecuted, b.redo_entries_reexecuted);
-    EXPECT_EQ(a.redo_ns, b.redo_ns);
-    EXPECT_EQ(a.oplog_entries, b.oplog_entries);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.conflict_keys, b.conflict_keys);
-    EXPECT_EQ(a.receipts, b.receipts);
+    BlockRun run = RunBlocks(state, blocks_, [&](const Block& block, WorldState& s) {
+      return executor.Execute(block, s);
+    });
+    run.roots = {state.StateRoot()};
+    return run;
   }
 
   std::optional<WorkloadGenerator> gen_;
@@ -503,43 +475,34 @@ class CodeCacheDifferentialTest : public ::testing::Test {
   std::vector<Block> blocks_;
 };
 
-// Cold (per-block), warm (shared, pre-warmed by a prior run), uncached, and
-// every OS-thread count: bit-identical deterministic reports. This is the
+// A cold shared cache (every contract analyzed and promoted mid-run) and a
+// warm one (every lookup a hit, every hot program already promoted), at every
+// OS-thread count: bit-identical roots and deterministic reports. This is the
 // §4.6 inertness claim at executor granularity — cache residency and tier-1
-// hotness cannot leak into results.
-TEST_F(CodeCacheDifferentialTest, CacheModeAndWarmthAreInvisibleInResults) {
-  Run(CodeCacheMode::kShared, /*os_threads=*/4);  // Warm the shared cache.
-  ModeResult base = Run(CodeCacheMode::kShared, /*os_threads=*/1);
-  for (CodeCacheMode mode :
-       {CodeCacheMode::kShared, CodeCacheMode::kPerBlock, CodeCacheMode::kUncached}) {
-    for (int os_threads : {1, 4, 16}) {
-      SCOPED_TRACE(testing::Message()
-                   << "mode=" << static_cast<int>(mode) << " os_threads=" << os_threads);
-      ModeResult other = Run(mode, os_threads);
-      EXPECT_EQ(base.root, other.root);
-      ASSERT_EQ(base.reports.size(), other.reports.size());
-      for (size_t b = 0; b < base.reports.size(); ++b) {
-        SCOPED_TRACE(testing::Message() << "block=" << b);
-        ExpectDeterministicFieldsEqual(base.reports[b], other.reports[b]);
-      }
-    }
+// hotness cannot leak into results. ctest runs each test in its own process,
+// and no earlier test in this file touches the shared cache, so the first run
+// here starts cold.
+TEST_F(CodeCacheDifferentialTest, CacheWarmthIsInvisibleInResults) {
+  CodeCache& shared = SharedCodeCache(/*fuse=*/true);
+  const CodeCache::Stats before = shared.GetStats();
+  BlockRun cold = Run(CodeCacheMode::kShared, /*os_threads=*/1);
+  const CodeCache::Stats after_cold = shared.GetStats();
+  EXPECT_GT(after_cold.misses, before.misses);
+  EXPECT_GT(after_cold.promotions, before.promotions);
+  for (int os_threads : {1, 4, 16}) {
+    SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
+    ExpectSameDeterministicRun(cold, Run(CodeCacheMode::kShared, os_threads));
   }
-  // An extreme promotion threshold (everything promotes immediately) is just
-  // as invisible: tier 1 is dispatch speed, not semantics.
-  ModeResult eager = Run(CodeCacheMode::kPerBlock, /*os_threads=*/4, /*promote_threshold=*/1);
-  EXPECT_EQ(base.root, eager.root);
-  for (size_t b = 0; b < base.reports.size(); ++b) {
-    ExpectDeterministicFieldsEqual(base.reports[b], eager.reports[b]);
-  }
+  EXPECT_EQ(shared.GetStats().misses, after_cold.misses);  // The later runs were warm.
 }
 
 // kOff removes the provider: results (roots, receipts, gas) are unchanged,
 // but the SSA log returns to per-op granularity — strictly more entries on a
 // workload with fusible runs. This is the §6.4 log-overhead ablation pair.
 TEST_F(CodeCacheDifferentialTest, DisabledCacheKeepsResultsButLogsPerOp) {
-  ModeResult fused = Run(CodeCacheMode::kShared, /*os_threads=*/4);
-  ModeResult off = Run(CodeCacheMode::kOff, /*os_threads=*/4);
-  EXPECT_EQ(fused.root, off.root);
+  BlockRun fused = Run(CodeCacheMode::kShared, /*os_threads=*/4);
+  BlockRun off = Run(CodeCacheMode::kOff, /*os_threads=*/4);
+  EXPECT_EQ(fused.roots, off.roots);
   ASSERT_EQ(fused.reports.size(), off.reports.size());
   uint64_t fused_entries = 0;
   uint64_t off_entries = 0;
@@ -552,8 +515,8 @@ TEST_F(CodeCacheDifferentialTest, DisabledCacheKeepsResultsButLogsPerOp) {
   EXPECT_LT(fused_entries, off_entries);
 }
 
-// The serial oracle agrees with every cached parallel mode, closing the loop
-// against an executor that never builds logs at all.
+// The serial oracle agrees with both cache modes, closing the loop against
+// an executor that never builds logs at all.
 TEST_F(CodeCacheDifferentialTest, CachedParallelMatchesSerialOracle) {
   ExecOptions options;
   options.threads = 8;
@@ -563,9 +526,8 @@ TEST_F(CodeCacheDifferentialTest, CachedParallelMatchesSerialOracle) {
     serial.Execute(block, serial_state);
   }
   std::string oracle_root = HexEncode(serial_state.StateRoot());
-  for (CodeCacheMode mode : {CodeCacheMode::kShared, CodeCacheMode::kPerBlock,
-                             CodeCacheMode::kUncached, CodeCacheMode::kOff}) {
-    EXPECT_EQ(Run(mode, /*os_threads=*/4).root, oracle_root)
+  for (CodeCacheMode mode : {CodeCacheMode::kShared, CodeCacheMode::kOff}) {
+    EXPECT_EQ(HexEncode(Run(mode, /*os_threads=*/4).roots.back()), oracle_root)
         << "mode " << static_cast<int>(mode);
   }
 }

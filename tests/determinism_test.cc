@@ -1,8 +1,9 @@
 // The tentpole guarantee of the real-thread read phase: the OS-thread count
-// is invisible in results. The same block must produce identical state roots,
-// receipts, and BlockReport conflict/redo counters (and the identical virtual
-// makespan) whether the thread pool runs 1, 4, or 16 OS threads — only the
-// wall-clock fields may differ. Also exercises the ThreadPool directly.
+// is invisible in results. The same blocks must produce identical state roots
+// and an identical DeterministicBlockReport whether the thread pool runs 1, 4,
+// or 16 OS threads — only the wall-clock fields may differ. Also exercises the
+// ThreadPool directly.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,41 +16,15 @@
 #include "src/core/scheduled.h"
 #include "src/exec/thread_pool.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
 
 struct RunResult {
-  std::string root;
-  uint64_t digest = 0;
-  std::vector<BlockReport> reports;
+  BlockRun run;
+  uint64_t digest = 0;  // Final WorldState digest.
 };
-
-// Everything in BlockReport except the wall-clock fields must match.
-void ExpectSameReport(const BlockReport& a, const BlockReport& b, int os_threads, int block) {
-  SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads << " block=" << block);
-  EXPECT_EQ(a.makespan_ns, b.makespan_ns);
-  EXPECT_EQ(a.conflicts, b.conflicts);
-  EXPECT_EQ(a.redo_success, b.redo_success);
-  EXPECT_EQ(a.redo_fail, b.redo_fail);
-  EXPECT_EQ(a.full_reexecutions, b.full_reexecutions);
-  EXPECT_EQ(a.lock_aborts, b.lock_aborts);
-  EXPECT_EQ(a.redo_entries_reexecuted, b.redo_entries_reexecuted);
-  EXPECT_EQ(a.redo_ns, b.redo_ns);
-  EXPECT_EQ(a.oplog_entries, b.oplog_entries);
-  EXPECT_EQ(a.instructions, b.instructions);
-  // The prefetch hit/miss/wasted counters are computed by the deterministic
-  // block-order accounting pass, so they are part of the contract too; only
-  // prefetch_wall_ns (wall clock) may differ.
-  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
-  EXPECT_EQ(a.prefetch_misses, b.prefetch_misses);
-  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
-  // Conflict attribution is recorded on the block-order commit path and
-  // sorted deterministically, so the whole histogram — keys, order, and
-  // redo-vs-fallback split — is part of the contract.
-  EXPECT_EQ(a.conflict_keys, b.conflict_keys);
-  EXPECT_EQ(a.receipts, b.receipts);
-}
 
 class DeterminismTest : public ::testing::Test {
  protected:
@@ -74,10 +49,10 @@ class DeterminismTest : public ::testing::Test {
     options.os_threads = os_threads;
     WorldState state = genesis_;
     RunResult result;
-    for (const Block& block : blocks_) {
-      result.reports.push_back(run(block, state, options));
-    }
-    result.root = HexEncode(state.StateRoot());
+    result.run = RunBlocks(state, blocks_, [&](const Block& block, WorldState& s) {
+      return run(block, s, options);
+    });
+    result.run.roots = {state.StateRoot()};
     result.digest = state.Digest();
     return result;
   }
@@ -89,18 +64,15 @@ class DeterminismTest : public ::testing::Test {
     // or the determinism claim is vacuous. (A scheduled validator reports
     // redo_success but no conflicts for an honest schedule.)
     int conflicts = 0;
-    for (const BlockReport& r : base.reports) {
+    for (const BlockReport& r : base.run.reports) {
       conflicts += r.conflicts + r.redo_success;
     }
     EXPECT_GT(conflicts, 0);
     for (int os_threads : {4, 16}) {
+      SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
       RunResult other = Execute(run, os_threads);
-      EXPECT_EQ(base.root, other.root) << os_threads << " OS threads";
-      EXPECT_EQ(base.digest, other.digest) << os_threads << " OS threads";
-      ASSERT_EQ(base.reports.size(), other.reports.size());
-      for (size_t b = 0; b < base.reports.size(); ++b) {
-        ExpectSameReport(base.reports[b], other.reports[b], os_threads, static_cast<int>(b));
-      }
+      EXPECT_EQ(base.digest, other.digest);
+      ExpectSameDeterministicRun(base.run, other.run);
     }
   }
 
@@ -132,8 +104,8 @@ TEST_F(DeterminismTest, BlockStmIsOsThreadCountInvariant) {
 
 // The same invariance with the async prefetch pipeline live: a racy
 // background engine plus simulated storage latency must leave every
-// deterministic field — including the prefetch hit/miss/wasted counters that
-// ExpectSameReport now compares — untouched by the OS-thread count.
+// deterministic field, the prefetch hit/miss/wasted counters included,
+// untouched by the OS-thread count.
 TEST_F(DeterminismTest, ParallelEvmWithPrefetchIsOsThreadCountInvariant) {
   ExpectThreadCountInvisible([](const Block& block, WorldState& state,
                                 const ExecOptions& options) {
@@ -163,8 +135,9 @@ TEST_F(DeterminismTest, OccWithPrefetchIsOsThreadCountInvariant) {
   });
 }
 
-// Prefetch depth itself must be invisible in results: any depth produces the
-// same root and the same deterministic report fields as depth 0.
+// Prefetch depth itself must be invisible in results: every depth > 0
+// produces the same roots and deterministic report as depth 1, and apart from
+// the prefetch counters depth 0 does too.
 TEST_F(DeterminismTest, PrefetchDepthIsInvisibleInResults) {
   auto run_depth = [&](int depth) {
     return Execute(
@@ -175,30 +148,30 @@ TEST_F(DeterminismTest, PrefetchDepthIsInvisibleInResults) {
         },
         /*os_threads=*/4);
   };
-  RunResult cold = run_depth(0);
-  for (int depth : {1, 8, 64}) {
-    RunResult warm = run_depth(depth);
-    EXPECT_EQ(cold.root, warm.root) << "depth " << depth;
-    EXPECT_EQ(cold.digest, warm.digest) << "depth " << depth;
-    ASSERT_EQ(cold.reports.size(), warm.reports.size());
-    for (size_t b = 0; b < cold.reports.size(); ++b) {
-      EXPECT_EQ(cold.reports[b].makespan_ns, warm.reports[b].makespan_ns);
-      EXPECT_EQ(cold.reports[b].receipts, warm.reports[b].receipts);
-      // Counters account the predicted-set quality, not how much of it the
-      // engine got to in time, so they engage at every depth.
-      EXPECT_GT(warm.reports[b].prefetch_hits + warm.reports[b].prefetch_misses, 0u);
-    }
+  RunResult shallow = run_depth(1);
+  for (const BlockReport& report : shallow.run.reports) {
+    // Counters account the predicted-set quality, not how much of it the
+    // engine got to in time, so they engage at every depth.
+    EXPECT_GT(report.prefetch_hits + report.prefetch_misses, 0u);
   }
+  for (int depth : {8, 64}) {
+    SCOPED_TRACE(testing::Message() << "depth " << depth);
+    RunResult deep = run_depth(depth);
+    EXPECT_EQ(shallow.digest, deep.digest);
+    ExpectSameDeterministicRun(shallow.run, deep.run);
+  }
+  RunResult off = run_depth(0);
+  EXPECT_EQ(shallow.digest, off.digest);
+  ExpectSameDeterministicRun(off.run, WithoutPrefetchCounters(shallow.run));
 }
 
-// The code cache joins the determinism contract: every provider-backed mode
-// (shared, per-block, uncached) must satisfy the full ExpectSameReport
-// comparison — oplog_entries and redo counters included — at every OS-thread
-// count, because tier-0 analysis is a pure function of the bytecode and the
-// log granularity it implies never depends on cache residency.
+// The code cache joins the determinism contract: both modes — the shared
+// cache's superinstruction logging and kOff's per-op logging — are OS-thread
+// count invariant in every deterministic field, oplog_entries and redo
+// counters included.
 TEST_F(DeterminismTest, CodeCacheModeIsOsThreadCountInvariant) {
-  for (CodeCacheMode mode :
-       {CodeCacheMode::kShared, CodeCacheMode::kPerBlock, CodeCacheMode::kUncached}) {
+  for (CodeCacheMode mode : {CodeCacheMode::kShared, CodeCacheMode::kOff}) {
+    SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode));
     ExpectThreadCountInvisible([mode](const Block& block, WorldState& state,
                                       const ExecOptions& options) {
       ExecOptions o = options;
@@ -247,6 +220,29 @@ TEST_F(DeterminismTest, ParallelReadPhaseMatchesSerialExecution) {
     pevm.Execute(block, s_pevm);
   }
   EXPECT_EQ(HexEncode(s_serial.StateRoot()), HexEncode(s_pevm.StateRoot()));
+}
+
+// The comparison helper itself: wall-clock fields are ignored, and a change to
+// any deterministic field, a root or a receipt is a failure.
+TEST(ReportTestingTest, ComparesRootsAndTheDeterministicPartOnly) {
+  BlockRun base;
+  base.roots = {Hash256{}};
+  base.reports.resize(2);
+  base.reports[1].receipts.resize(3);
+  BlockRun wall = base;
+  wall.reports[0].wall_ns = 7;
+  wall.reports[1].prefetch_wall_ns = 9;
+  ExpectSameDeterministicRun(base, wall);
+
+  BlockRun counter = base;
+  counter.reports[1].lock_aborts = 1;
+  EXPECT_NONFATAL_FAILURE(ExpectSameDeterministicRun(base, counter), "lock_aborts=1");
+  BlockRun receipt = base;
+  receipt.reports[1].receipts[2].gas_used = 21'000;
+  EXPECT_NONFATAL_FAILURE(ExpectSameDeterministicRun(base, receipt), "first differing receipt: #2");
+  BlockRun root = base;
+  root.roots[0][0] = 1;
+  EXPECT_NONFATAL_FAILURE(ExpectSameDeterministicRun(base, root), "state root #0");
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

@@ -31,6 +31,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -669,8 +670,7 @@ TEST(OpsPlaneTest, WatchdogSilentOnHealthyRunner) {
 // --- Inertness: ops plane off vs hammered is invisible in results. ---------
 
 struct ChainRunResult {
-  std::vector<std::string> roots;
-  std::vector<BlockReport> reports;
+  BlockRun run;
   uint64_t scrapes = 0;
 };
 
@@ -718,35 +718,8 @@ ChainRunResult RunChain(const WorldState& genesis, const std::vector<Block>& blo
     hammer.join();
     result.scrapes = runner.ops_server()->scrapes();
   }
-  for (const Hash256& root : report.roots) {
-    result.roots.push_back(HexEncode(root));
-  }
-  result.reports = report.block_reports;
+  result.run = {report.roots, report.block_reports};
   return result;
-}
-
-// Deterministic-field comparison, mirroring telemetry_test's contract.
-void ExpectSameDeterministicFields(const ChainRunResult& off, const ChainRunResult& on,
-                                   int os_threads) {
-  SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
-  ASSERT_EQ(off.roots.size(), on.roots.size());
-  for (size_t b = 0; b < off.roots.size(); ++b) {
-    EXPECT_EQ(off.roots[b], on.roots[b]) << "block " << b;
-  }
-  ASSERT_EQ(off.reports.size(), on.reports.size());
-  for (size_t b = 0; b < off.reports.size(); ++b) {
-    const BlockReport& x = off.reports[b];
-    const BlockReport& y = on.reports[b];
-    EXPECT_EQ(x.makespan_ns, y.makespan_ns);
-    EXPECT_EQ(x.conflicts, y.conflicts);
-    EXPECT_EQ(x.redo_success, y.redo_success);
-    EXPECT_EQ(x.redo_fail, y.redo_fail);
-    EXPECT_EQ(x.full_reexecutions, y.full_reexecutions);
-    EXPECT_EQ(x.oplog_entries, y.oplog_entries);
-    EXPECT_EQ(x.instructions, y.instructions);
-    EXPECT_EQ(x.conflict_keys, y.conflict_keys);
-    EXPECT_EQ(x.receipts, y.receipts);
-  }
 }
 
 TEST(OpsInertnessTest, HammeredOpsPlaneIsInvisibleInResults) {
@@ -760,7 +733,8 @@ TEST(OpsInertnessTest, HammeredOpsPlaneIsInvisibleInResults) {
     ChainRunResult off = RunChain(genesis, blocks, os_threads, /*hammer_ops=*/false);
     ChainRunResult hammered = RunChain(genesis, blocks, os_threads, /*hammer_ops=*/true);
     ASSERT_GT(hammered.scrapes, 0u) << "hammer thread never landed a scrape (vacuous)";
-    ExpectSameDeterministicFields(off, hammered, os_threads);
+    SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
+    ExpectSameDeterministicRun(off.run, hammered.run);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "src/exec/pipeline.h"
 #include "src/state/sim_store.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -265,16 +266,13 @@ TEST(PrefetchPropertyTest, HintCapKeepsCountersOsThreadInvariant) {
     options.storage.max_hint_entries = 2;  // Aggressive churn.
     ParallelEvmExecutor pevm(options);
     WorldState state = genesis;
-    std::vector<std::array<uint64_t, 3>> counters;
-    for (const Block& block : blocks) {
-      BlockReport report = pevm.Execute(block, state);
-      counters.push_back({report.prefetch_hits, report.prefetch_misses, report.prefetch_wasted});
-    }
-    return counters;
+    return RunBlocks(state, blocks, [&](const Block& block, WorldState& s) {
+      return pevm.Execute(block, s);
+    });
   };
-  auto one = run(1);
-  EXPECT_EQ(one, run(4));
-  EXPECT_EQ(one, run(16));
+  BlockRun one = run(1);
+  ExpectSameDeterministicRun(one, run(4));
+  ExpectSameDeterministicRun(one, run(16));
 }
 
 TEST(PrefetchPropertyTest, EngineWithDepthCoveringBlockWarmsEveryPredictedKey) {
@@ -313,9 +311,9 @@ TEST(PrefetchPropertyTest, EngineFinishWithoutProgressDoesNotHang) {
 }
 
 // Executor-level property: turning the prefetch pipeline on cannot perturb
-// the virtual-time oracle or the results — state root, receipts, makespan and
-// the StateCache-driven counters are bit-identical to a cold run, while the
-// prefetch counters actually engage.
+// the virtual-time oracle or the results — state roots and every
+// deterministic report field but the prefetch counters are bit-identical to a
+// cold run, while the prefetch counters actually engage.
 TEST(PrefetchPropertyTest, PrefetchingIsInvisibleToResultsAndVirtualTime) {
   WorkloadConfig config;
   config.seed = 515151;
@@ -342,10 +340,9 @@ TEST(PrefetchPropertyTest, PrefetchingIsInvisibleToResultsAndVirtualTime) {
     cold_options.os_threads = 4;
     WorldState cold_state = genesis;
     auto cold_exec = make_executor(cold_options);
-    std::vector<BlockReport> cold_reports;
-    for (const Block& block : blocks) {
-      cold_reports.push_back(cold_exec->Execute(block, cold_state));
-    }
+    BlockRun cold = RunBlocks(cold_state, blocks, [&](const Block& block, WorldState& s) {
+      return cold_exec->Execute(block, s);
+    });
 
     for (const Variant& v : variants) {
       SCOPED_TRACE(v.name);
@@ -355,18 +352,17 @@ TEST(PrefetchPropertyTest, PrefetchingIsInvisibleToResultsAndVirtualTime) {
       options.storage.warm_read_ns = v.cold_read_ns / 4;
       WorldState state = genesis;
       auto exec = make_executor(options);
+      BlockRun warm = RunBlocks(state, blocks, [&](const Block& block, WorldState& s) {
+        return exec->Execute(block, s);
+      });
+      // The cold run has no prefetch accounting, so only those counters may
+      // differ.
+      ExpectSameDeterministicRun(cold, WithoutPrefetchCounters(warm));
+      EXPECT_EQ(state, cold_state) << "post-state diverged from the cold run";
       uint64_t engaged = 0;
-      for (size_t b = 0; b < blocks.size(); ++b) {
-        BlockReport report = exec->Execute(blocks[b], state);
-        const BlockReport& cold = cold_reports[b];
-        EXPECT_EQ(report.makespan_ns, cold.makespan_ns) << "block " << b;
-        EXPECT_EQ(report.receipts, cold.receipts) << "block " << b;
-        EXPECT_EQ(report.conflicts, cold.conflicts) << "block " << b;
-        EXPECT_EQ(report.redo_success, cold.redo_success) << "block " << b;
-        EXPECT_EQ(report.instructions, cold.instructions) << "block " << b;
+      for (const BlockReport& report : warm.reports) {
         engaged += report.prefetch_hits + report.prefetch_misses;
       }
-      EXPECT_EQ(state, cold_state) << "post-state diverged from the cold run";
       if (v.prefetch_depth > 0) {
         EXPECT_GT(engaged, 0u) << "prefetch accounting never engaged";
       }
@@ -402,20 +398,17 @@ TEST(PrefetchPropertyTest, PrefetchCountersAreReproducible) {
     options.prefetch_depth = 6;
     ParallelEvmExecutor pevm(options);
     WorldState state = genesis;
-    std::vector<std::array<uint64_t, 3>> counters;
-    for (const Block& block : blocks) {
-      BlockReport report = pevm.Execute(block, state);
-      counters.push_back({report.prefetch_hits, report.prefetch_misses, report.prefetch_wasted});
-    }
-    return counters;
+    return RunBlocks(state, blocks, [&](const Block& block, WorldState& s) {
+      return pevm.Execute(block, s);
+    });
   };
-  auto first = run();
-  auto second = run();
-  EXPECT_EQ(first, second);
+  BlockRun first = run();
+  ExpectSameDeterministicRun(first, run());
   // Hints learned in block 0 must raise block 1+'s hit counts above the
   // envelope-only floor of the very first block.
-  EXPECT_GT(first[1][0], 0u);
-  EXPECT_GE(first[1][0] + first[2][0], first[0][0]);
+  const std::vector<BlockReport>& reports = first.reports;
+  EXPECT_GT(reports[1].prefetch_hits, 0u);
+  EXPECT_GE(reports[1].prefetch_hits + reports[2].prefetch_hits, reports[0].prefetch_hits);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "src/chain/node_store.h"
 #include "src/kv/kv_store.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -507,18 +508,8 @@ TEST_F(ChainPersistenceTest, KvBackedSimStoreKeepsRootsAndCountersBitIdentical) 
   ChainReport simulated = run(false);
   ChainReport backed = run(true);
   ASSERT_EQ(simulated.blocks_committed, backed.blocks_committed);
-  for (size_t b = 0; b < simulated.roots.size(); ++b) {
-    EXPECT_EQ(HexEncode(simulated.roots[b]), HexEncode(backed.roots[b])) << "block " << b;
-  }
-  ASSERT_EQ(simulated.block_reports.size(), backed.block_reports.size());
-  for (size_t b = 0; b < simulated.block_reports.size(); ++b) {
-    const BlockReport& s = simulated.block_reports[b];
-    const BlockReport& k = backed.block_reports[b];
-    EXPECT_EQ(s.prefetch_hits, k.prefetch_hits) << "block " << b;
-    EXPECT_EQ(s.prefetch_misses, k.prefetch_misses) << "block " << b;
-    EXPECT_EQ(s.prefetch_wasted, k.prefetch_wasted) << "block " << b;
-    EXPECT_EQ(s.makespan_ns, k.makespan_ns) << "block " << b;
-  }
+  ExpectSameDeterministicRun({simulated.roots, simulated.block_reports},
+                             {backed.roots, backed.block_reports});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "src/core/parallel_evm.h"
 #include "src/core/scheduled.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -39,8 +40,7 @@ TEST_F(ScheduledTest, ProposerMatchesPlainParallelEvm) {
   BlockReport plain = pevm.Execute(block_, s1);
   ProposalResult proposal = ProposeBlock(block_, s2, options_);
   EXPECT_EQ(s1.Digest(), s2.Digest());
-  EXPECT_EQ(plain.conflicts, proposal.report.conflicts);
-  EXPECT_EQ(plain.redo_success, proposal.report.redo_success);
+  ExpectSameDeterministicRun({{s1.StateRoot()}, {plain}}, {{s2.StateRoot()}, {proposal.report}});
   ASSERT_EQ(proposal.schedule.transactions.size(), block_.transactions.size());
 }
 

@@ -22,11 +22,13 @@
 #include "src/baselines/occ.h"
 #include "src/baselines/serial.h"
 #include "src/baselines/two_phase_locking.h"
+#include "src/chain/chain_runner.h"
 #include "src/core/parallel_evm.h"
 #include "src/exec/thread_pool.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 #include "src/workload/block_gen.h"
+#include "tests/report_testing.h"
 
 namespace pevm {
 namespace {
@@ -269,6 +271,46 @@ TEST_F(TelemetryTest, ThreadNamesAppearInExport) {
   EXPECT_NE(json.find("\"my-named-thread\""), std::string::npos);
 }
 
+TEST_F(TelemetryTest, RenamingAfterTheFirstEventUpdatesTheExport) {
+  std::thread t([] {
+    telemetry::EmitInstant("unnamed.event");
+    telemetry::SetThreadName("renamed-thread");
+  });
+  t.join();
+  std::string json = telemetry::ChromeTraceJson();
+  EXPECT_NE(json.find("\"renamed-thread\""), std::string::npos);
+}
+
+// Naming a thread allocates nothing: its ring (~1.5 MB at the default
+// capacity) appears with the thread's first event and takes the name then.
+// Every pool, stage, prefetch and serving thread names itself and the registry
+// keeps each ring for the life of the process, so with tracing off, runner
+// churn must not register a single ring.
+TEST(TraceRingTest, ChainRunnerChurnWithTracingOffRegistersNoRings) {
+  telemetry::SetEnabled(false);
+  WorkloadConfig config;
+  config.seed = 4040;
+  config.transactions_per_block = 8;
+  config.users = 64;  // A small genesis keeps each runner's trie seeding cheap.
+  config.tokens = 2;
+  config.pools = 1;
+  config.funds = 1;
+  WorkloadGenerator gen(config);
+  WorldState genesis = gen.MakeGenesis();
+  Block block = gen.MakeBlock();
+  const size_t registered = telemetry::RegisteredThreads();
+  for (int i = 0; i < 100; ++i) {
+    ChainOptions options;
+    options.exec.os_threads = 4;
+    options.exec.prefetch_depth = 2;  // Adds the prefetch-driver thread.
+    options.speculate = true;         // Adds the spec stage and its pool.
+    ChainRunner runner(options, genesis);
+    ASSERT_TRUE(runner.Submit(block));
+    ASSERT_EQ(runner.Finish().blocks_committed, 1u);
+  }
+  EXPECT_EQ(telemetry::RegisteredThreads(), registered);
+}
+
 // --- Metrics registry. ----------------------------------------------------
 
 TEST(MetricsTest, HistogramBucketBoundariesAreExact) {
@@ -336,38 +378,9 @@ TEST(MetricsTest, RegistryReturnsStableReferencesAndValidJson) {
 // --- Inertness: telemetry on/off is invisible in results. ------------------
 
 struct InertnessResult {
-  std::string root;
-  uint64_t digest = 0;
-  std::vector<BlockReport> reports;
+  BlockRun run;
+  uint64_t digest = 0;  // Final WorldState digest.
 };
-
-// Everything except wall-clock fields; mirrors determinism_test's contract.
-void ExpectSameDeterministicFields(const InertnessResult& off, const InertnessResult& on,
-                                   const char* executor, int os_threads) {
-  SCOPED_TRACE(testing::Message() << executor << " os_threads=" << os_threads);
-  EXPECT_EQ(off.root, on.root);
-  EXPECT_EQ(off.digest, on.digest);
-  ASSERT_EQ(off.reports.size(), on.reports.size());
-  for (size_t b = 0; b < off.reports.size(); ++b) {
-    const BlockReport& x = off.reports[b];
-    const BlockReport& y = on.reports[b];
-    EXPECT_EQ(x.makespan_ns, y.makespan_ns);
-    EXPECT_EQ(x.conflicts, y.conflicts);
-    EXPECT_EQ(x.redo_success, y.redo_success);
-    EXPECT_EQ(x.redo_fail, y.redo_fail);
-    EXPECT_EQ(x.full_reexecutions, y.full_reexecutions);
-    EXPECT_EQ(x.lock_aborts, y.lock_aborts);
-    EXPECT_EQ(x.redo_entries_reexecuted, y.redo_entries_reexecuted);
-    EXPECT_EQ(x.redo_ns, y.redo_ns);
-    EXPECT_EQ(x.oplog_entries, y.oplog_entries);
-    EXPECT_EQ(x.instructions, y.instructions);
-    EXPECT_EQ(x.prefetch_hits, y.prefetch_hits);
-    EXPECT_EQ(x.prefetch_misses, y.prefetch_misses);
-    EXPECT_EQ(x.prefetch_wasted, y.prefetch_wasted);
-    EXPECT_EQ(x.conflict_keys, y.conflict_keys);
-    EXPECT_EQ(x.receipts, y.receipts);
-  }
-}
 
 class InertnessTest : public ::testing::TestWithParam<int> {
  protected:
@@ -399,19 +412,21 @@ class InertnessTest : public ::testing::TestWithParam<int> {
     auto executor = make(options);
     WorldState state = genesis_;
     InertnessResult result;
-    for (const Block& block : blocks_) {
-      result.reports.push_back(executor->Execute(block, state));
-    }
-    result.root = HexEncode(state.StateRoot());
+    result.run = RunBlocks(state, blocks_, [&](const Block& block, WorldState& s) {
+      return executor->Execute(block, s);
+    });
+    result.run.roots = {state.StateRoot()};
     result.digest = state.Digest();
     return result;
   }
 
   template <typename MakeExec>
   void ExpectInert(MakeExec make, const char* name) {
+    SCOPED_TRACE(testing::Message() << name << " os_threads=" << GetParam());
     InertnessResult off = Run(make, /*telemetry_on=*/false);
     InertnessResult on = Run(make, /*telemetry_on=*/true);
-    ExpectSameDeterministicFields(off, on, name, GetParam());
+    EXPECT_EQ(off.digest, on.digest);
+    ExpectSameDeterministicRun(off.run, on.run);
   }
 
   WorldState genesis_;
