@@ -1,9 +1,12 @@
 // Google-benchmark microbenchmarks for the substrates: 256-bit arithmetic,
-// Keccak-256, MPT insertion/rooting, EVM interpretation with and without SSA
-// log generation (the real-time counterpart of the paper's 4.5% overhead),
-// and the redo phase on the paper's §3.2 scenario.
+// Keccak-256, MPT insertion/rooting, incremental state commitment, EVM
+// interpretation with and without SSA log generation (the real-time
+// counterpart of the paper's 4.5% overhead), and the redo phase on the
+// paper's §3.2 scenario.
 #include <benchmark/benchmark.h>
 
+#include "src/baselines/serial.h"
+#include "src/chain/commit.h"
 #include "src/core/redo.h"
 #include "src/core/ssa_builder.h"
 #include "src/exec/apply.h"
@@ -11,6 +14,7 @@
 #include "src/support/keccak.h"
 #include "src/support/u256.h"
 #include "src/trie/mpt.h"
+#include "src/workload/block_gen.h"
 #include "src/workload/contracts.h"
 
 namespace pevm {
@@ -68,6 +72,33 @@ void BM_MptInsertAndRoot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MptInsertAndRoot)->Arg(64)->Arg(512);
+
+// The commit layer alone ("re-root ns per dirty entry"): one hot-spot block's
+// state diff (500-user genesis, ~1.3k journal entries) replayed into a seeded
+// IncrementalStateTrie, then re-rooted. Re-applying the same diff dirties the
+// same spines every iteration, so each one does a block's worth of commit
+// work on the serial (os_threads = 1) committer the chain runner defaults to.
+void BM_IncrementalCommit(benchmark::State& state) {
+  WorkloadConfig config;
+  config.users = 500;
+  WorkloadGenerator generator(config);
+  const WorldState genesis = generator.MakeGenesis();
+  WorldState post = genesis;
+  SerialExecutor executor{ExecOptions{}};
+  post.BeginDiff();
+  executor.Execute(generator.MakeBlock(), post);
+  const StateDiff diff = post.TakeDiff();
+  IncrementalStateTrie trie(genesis);
+  for (auto _ : state) {
+    trie.ApplyDiff(diff);
+    benchmark::DoNotOptimize(trie.Root());
+  }
+  state.counters["diff_entries"] = static_cast<double>(diff.size());
+  state.counters["time_per_entry"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * diff.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IncrementalCommit)->Unit(benchmark::kMicrosecond);
 
 struct Erc20Fixture {
   WorldState state;

@@ -6,8 +6,10 @@
 # handles and deferred pruning (use-after-release is exactly the bug class
 # the retention contract exists to prevent), the bounded queue's
 # close/abort-with-items-in-flight paths, the KV store's segment buffers and
-# compaction, the trie's node recycling, and the chain runner's
-# shutdown/abort teardown.
+# compaction, the trie's node recycling and in-place node encoder (it writes
+# RLP straight into raw scratch and reference buffers), and the chain
+# runner's shutdown/abort teardown. Value-parameterized suites are
+# registered as Seeds/<Suite>, hence the optional prefix.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single
 # source of truth. An empty selection is a HARD FAILURE — the gate must not
@@ -16,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
-ASAN_REGEX=${ASAN_REGEX:-'^(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest)'}
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|MptTest|MptHarvestTest|MptDeleteTest|MptPropertyTest|MptEncoderDifferentialTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.

@@ -23,8 +23,7 @@ uint64_t MonoNs() {
 
 IncrementalStateTrie::IncrementalStateTrie(const WorldState& genesis, NodeStore* store,
                                            SeedMode mode, const CommitOptions& options)
-    : pool_(std::make_unique<ThreadPool>(ThreadPool::ResolveWidth(
-          options.os_threads > 0 ? options.os_threads : 1))),
+    : pool_(std::make_unique<ThreadPool>(ThreadPool::ResolveWidth(options.os_threads))),
       store_(store) {
   // Phase 1: keccak every address key in parallel (the dominant seeding cost
   // after storage tries), then bucket accounts by shard on this thread.

@@ -130,12 +130,19 @@ void WorldState::Apply(const WriteSet& writes) {
 
 Bytes RlpAccountBody(uint64_t nonce, const U256& balance, const Hash256& storage_root,
                      const Hash256& code_hash) {
-  std::vector<Bytes> body;
-  body.push_back(RlpEncodeUint(U256(nonce)));
-  body.push_back(RlpEncodeUint(balance));
-  body.push_back(RlpEncodeBytes(BytesView(storage_root.data(), storage_root.size())));
-  body.push_back(RlpEncodeBytes(BytesView(code_hash.data(), code_hash.size())));
-  return RlpEncodeList(body);
+  const U256 nonce_word(nonce);
+  const BytesView root(storage_root.data(), storage_root.size());
+  const BytesView code(code_hash.data(), code_hash.size());
+  const size_t payload = RlpUintLength(nonce_word) + RlpUintLength(balance) +
+                         RlpBytesLength(root) + RlpBytesLength(code);
+  Bytes body;
+  body.reserve(RlpPrefixLength(payload) + payload);
+  RlpAppendListPrefix(body, payload);
+  RlpAppendUint(body, nonce_word);
+  RlpAppendUint(body, balance);
+  RlpAppendBytes(body, root);
+  RlpAppendBytes(body, code);
+  return body;
 }
 
 Hash256 WorldState::StateRoot() const {

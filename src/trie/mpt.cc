@@ -1,41 +1,72 @@
 #include "src/trie/mpt.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
-#include <vector>
 
 #include "src/support/rlp.h"
 
 namespace pevm {
 namespace {
 
-// Converts a byte key into one nibble per element (high nibble first).
-Bytes ToNibbles(BytesView key) {
-  Bytes out;
-  out.reserve(key.size() * 2);
-  for (uint8_t b : key) {
-    out.push_back(b >> 4);
-    out.push_back(b & 0xf);
+// A key expanded to one nibble per element (high nibble first). Keys of up to
+// 32 bytes (every state and storage key) expand on the stack; longer keys
+// spill to the heap.
+class Nibbles {
+ public:
+  explicit Nibbles(BytesView key) {
+    uint8_t* out = inline_.data();
+    if (key.size() > kInlineKeyBytes) {
+      heap_.resize(2 * key.size());
+      out = heap_.data();
+    }
+    for (size_t i = 0; i < key.size(); ++i) {
+      out[2 * i] = key[i] >> 4;
+      out[2 * i + 1] = key[i] & 0xf;
+    }
+    view_ = BytesView(out, 2 * key.size());
   }
-  return out;
+  Nibbles(const Nibbles&) = delete;
+  Nibbles& operator=(const Nibbles&) = delete;
+
+  BytesView view() const { return view_; }
+
+ private:
+  static constexpr size_t kInlineKeyBytes = 32;
+  std::array<uint8_t, 2 * kInlineKeyBytes> inline_{};
+  Bytes heap_;
+  BytesView view_;
+};
+
+// RLP size of the hex-prefix encoding (yellow paper appendix C) of a path of
+// `nibbles` nibbles. A one-byte hex prefix is below 0x40, so it encodes as
+// itself.
+size_t HexPrefixLength(size_t nibbles) {
+  const size_t len = nibbles / 2 + 1;
+  return len == 1 ? 1 : RlpPrefixLength(len) + len;
 }
 
-// Hex-prefix encoding (yellow paper appendix C).
-Bytes HexPrefix(BytesView nibbles, bool is_leaf) {
-  Bytes out;
-  uint8_t flag = is_leaf ? 2 : 0;
-  bool odd = nibbles.size() % 2 != 0;
+// Appends the RLP of the hex-prefix encoding of `lead ++ path`. `lead` is the
+// nibble the sharded root join prepends to a lone shard root; it is empty for
+// every real node.
+void AppendHexPrefix(Bytes& out, BytesView lead, BytesView path, bool is_leaf) {
+  const size_t n = lead.size() + path.size();
+  const size_t len = n / 2 + 1;
+  if (len > 1) {
+    RlpAppendStringPrefix(out, len);
+  }
+  auto nibble = [&](size_t i) { return i < lead.size() ? lead[i] : path[i - lead.size()]; };
+  const uint8_t flag = is_leaf ? 2 : 0;
   size_t i = 0;
-  if (odd) {
-    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]));
+  if (n % 2 != 0) {
+    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibble(0)));
     i = 1;
   } else {
     out.push_back(static_cast<uint8_t>(flag << 4));
   }
-  for (; i + 1 < nibbles.size() + 1 && i < nibbles.size(); i += 2) {
-    out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+  for (; i < n; i += 2) {
+    out.push_back(static_cast<uint8_t>((nibble(i) << 4) | nibble(i + 1)));
   }
-  return out;
 }
 
 size_t CommonPrefix(BytesView a, BytesView b) {
@@ -60,18 +91,21 @@ struct MerklePatriciaTrie::Node {
   std::array<std::unique_ptr<Node>, 16> children;  // Branch children.
   std::unique_ptr<Node> child;                     // Extension child.
 
-  // Incremental-root memo: the node's RLP encoding and its parent-visible
-  // reference, recomputed lazily after a mutation dirtied this node. Cleared
-  // (never updated in place) by the mutation path, so a stale memo can never
-  // be observed.
-  mutable Bytes enc_memo;
-  mutable Bytes ref_memo;
-  mutable bool enc_valid = false;
+  // Incremental-root memo: the node's parent-visible reference — the RLP of
+  // keccak(encoding), or the encoding itself when that is shorter than 32
+  // bytes. Computed lazily (the encoding is built in a per-thread scratch
+  // buffer and never stored) and invalidated, never updated in place, by the
+  // mutation path, so a stale reference can never be observed.
+  mutable std::array<uint8_t, 33> ref{};
+  mutable uint8_t ref_len = 0;
   mutable bool ref_valid = false;
+
+  BytesView Ref() const { return BytesView(ref.data(), ref_len); }
+  bool Hashed() const { return ref_len == ref.size(); }
 
   // Durability memo: true once HarvestDirtyNodes emitted (or skipped, for
   // inlined nodes) this node since its last mutation. Cleared together with
-  // the encoding memo, so "persisted" implies the whole subtree is unchanged
+  // the reference memo, so "persisted" implies the whole subtree is unchanged
   // since the last harvest.
   mutable bool persisted = false;
 };
@@ -84,10 +118,7 @@ using Type = Node::Type;
 // Marks a node whose subtree (or own path/value) changed: both memos are
 // stale. Fresh nodes start invalid, so only retained nodes need this.
 void Dirty(Node* node) {
-  node->enc_valid = false;
   node->ref_valid = false;
-  node->enc_memo.clear();
-  node->ref_memo.clear();
   node->persisted = false;
 }
 
@@ -294,58 +325,121 @@ std::unique_ptr<Node> Remove(std::unique_ptr<Node> node, BytesView nibbles, bool
   return node;
 }
 
-const Bytes& Encode(const Node* node);
-
-// RLP item that refers to a child: the node's encoding if shorter than 32
-// bytes, otherwise the RLP of its keccak hash. Memoized per node.
-const Bytes& Ref(const Node* node) {
-  if (node->ref_valid) {
-    return node->ref_memo;
-  }
-  const Bytes& enc = Encode(node);
-  if (enc.size() < 32) {
-    node->ref_memo = enc;
-  } else {
-    Hash256 h = Keccak256(enc);
-    node->ref_memo = RlpEncodeBytes(BytesView(h.data(), h.size()));
-  }
-  node->ref_valid = true;
-  return node->ref_memo;
+// The calling thread's encoding buffer. Every encoding is built here and
+// consumed (hashed, copied into a reference, or handed to a harvest sink)
+// before the next one starts, so it never allocates once warm.
+Bytes& Scratch() {
+  thread_local Bytes scratch;
+  return scratch;
 }
 
-const Bytes& Encode(const Node* node) {
-  if (node->enc_valid) {
-    return node->enc_memo;
+void EnsureRef(const Node* node);
+
+// Writes a two-item node into `out`: the hex prefix of `lead ++ path`, then
+// `item` — a raw value for a leaf, an already-RLP child reference for an
+// extension.
+void EncodeShortNode(BytesView lead, BytesView path, bool is_leaf, BytesView item, Bytes& out) {
+  const size_t item_len = is_leaf ? RlpBytesLength(item) : item.size();
+  out.clear();
+  RlpAppendListPrefix(out, HexPrefixLength(lead.size() + path.size()) + item_len);
+  AppendHexPrefix(out, lead, path, is_leaf);
+  if (is_leaf) {
+    RlpAppendBytes(out, item);
+  } else {
+    out.insert(out.end(), item.begin(), item.end());
   }
-  std::vector<Bytes> items;
+}
+
+// Writes a 17-item branch into `out`: the 16 child references (the empty
+// string for a missing child), then the value.
+void EncodeBranch(const std::array<std::unique_ptr<Node>, 16>& children, BytesView value,
+                  Bytes& out) {
+  size_t payload = RlpBytesLength(value);
+  for (const auto& child : children) {
+    if (child != nullptr) {
+      EnsureRef(child.get());
+      payload += child->ref_len;
+    } else {
+      payload += 1;
+    }
+  }
+  out.clear();
+  RlpAppendListPrefix(out, payload);
+  for (const auto& child : children) {
+    if (child != nullptr) {
+      out.insert(out.end(), child->ref.begin(), child->ref.begin() + child->ref_len);
+    } else {
+      out.push_back(0x80);  // RLP of the empty string.
+    }
+  }
+  RlpAppendBytes(out, value);
+}
+
+// Writes `node`'s RLP encoding into `out`, with `lead` prepended to a leaf or
+// extension path (see AppendHexPrefix). Child references are brought up to
+// date before `out` is touched, since computing one encodes into the same
+// scratch buffer.
+void EncodeInto(const Node* node, BytesView lead, Bytes& out) {
   switch (node->type) {
-    case Type::kLeaf: {
-      items.push_back(RlpEncodeBytes(HexPrefix(node->path, /*is_leaf=*/true)));
-      items.push_back(RlpEncodeBytes(node->value));
-      break;
-    }
-    case Type::kExtension: {
-      items.push_back(RlpEncodeBytes(HexPrefix(node->path, /*is_leaf=*/false)));
-      items.push_back(Ref(node->child.get()));
-      break;
-    }
-    case Type::kBranch: {
-      for (const auto& child : node->children) {
-        items.push_back(child ? Ref(child.get()) : RlpEncodeBytes({}));
-      }
-      items.push_back(RlpEncodeBytes(node->value));
-      break;
-    }
+    case Type::kLeaf:
+      EncodeShortNode(lead, node->path, /*is_leaf=*/true, node->value, out);
+      return;
+    case Type::kExtension:
+      EnsureRef(node->child.get());
+      EncodeShortNode(lead, node->path, /*is_leaf=*/false, node->child->Ref(), out);
+      return;
+    case Type::kBranch:
+      assert(lead.empty());
+      EncodeBranch(node->children, node->value, out);
+      return;
   }
-  node->enc_memo = RlpEncodeList(items);
-  node->enc_valid = true;
-  return node->enc_memo;
+}
+
+// Computes the node's reference if a mutation invalidated it: encode once
+// into scratch, then keep the encoding itself (< 32 bytes) or the RLP of its
+// keccak hash. Clean subtrees return immediately, so a k-key diff re-hashes
+// O(k · depth) nodes.
+void EnsureRef(const Node* node) {
+  if (node->ref_valid) {
+    return;
+  }
+  Bytes& enc = Scratch();
+  EncodeInto(node, {}, enc);
+  if (enc.size() < 32) {
+    std::copy(enc.begin(), enc.end(), node->ref.begin());
+    node->ref_len = static_cast<uint8_t>(enc.size());
+  } else {
+    const Hash256 hash = Keccak256(enc);
+    node->ref[0] = 0x80 + 32;  // RLP string prefix of a 32-byte hash.
+    std::copy(hash.begin(), hash.end(), node->ref.begin() + 1);
+    node->ref_len = static_cast<uint8_t>(node->ref.size());
+  }
+  node->ref_valid = true;
+}
+
+// keccak(encoding) of a node whose reference is valid: read back from a
+// hashed reference; hashed here only for a node shorter than 32 bytes, whose
+// reference is its encoding.
+Hash256 NodeHash(const Node* node) {
+  if (!node->Hashed()) {
+    return Keccak256(node->Ref());
+  }
+  Hash256 hash;
+  std::copy(node->ref.begin() + 1, node->ref.end(), hash.begin());
+  return hash;
+}
+
+const Hash256& EmptyRoot() {
+  static const Hash256 root = Keccak256(RlpEncodeBytes({}));  // 0x56e81f17...
+  return root;
 }
 
 // Post-order walk over the not-yet-persisted region. Children first so a
 // store that applies records in emission order always has a node's children
 // before the node referencing them (the write-batch is atomic anyway, but the
-// invariant costs nothing and mirrors how real node stores flush).
+// invariant costs nothing and mirrors how real node stores flush). The hash
+// comes from the node's reference memo; the encoding is rebuilt in scratch
+// only to hand it to the sink. A null sink only sets persisted flags.
 size_t Harvest(const Node* node, bool is_root, const MerklePatriciaTrie::NodeSink* sink) {
   if (node == nullptr || node->persisted) {
     return 0;
@@ -363,16 +457,22 @@ size_t Harvest(const Node* node, bool is_root, const MerklePatriciaTrie::NodeSin
       }
       break;
   }
-  const Bytes& enc = Encode(node);
+  node->persisted = true;
+  if (sink == nullptr) {
+    return emitted;
+  }
+  EnsureRef(node);
   // Nodes shorter than 32 bytes are inlined into their parent's encoding and
   // never stored standalone; the root is always stored under its hash.
-  if (enc.size() >= 32 || is_root) {
-    if (sink != nullptr) {
-      (*sink)(Keccak256(enc), BytesView(enc.data(), enc.size()));
-    }
+  if (node->Hashed()) {
+    Bytes& enc = Scratch();
+    EncodeInto(node, {}, enc);
+    (*sink)(NodeHash(node), enc);
+    ++emitted;
+  } else if (is_root) {
+    (*sink)(NodeHash(node), node->Ref());
     ++emitted;
   }
-  node->persisted = true;
   return emitted;
 }
 
@@ -430,18 +530,18 @@ MerklePatriciaTrie& MerklePatriciaTrie::operator=(MerklePatriciaTrie&&) noexcept
 
 void MerklePatriciaTrie::Put(BytesView key, BytesView value) {
   assert(!value.empty());
-  Bytes nibbles = ToNibbles(key);
+  Nibbles nibbles(key);
   bool replaced = false;
-  root_ = Insert(std::move(root_), nibbles, value, &replaced);
+  root_ = Insert(std::move(root_), nibbles.view(), value, &replaced);
   if (!replaced) {
     ++size_;
   }
 }
 
 bool MerklePatriciaTrie::Delete(BytesView key) {
-  Bytes nibbles = ToNibbles(key);
+  Nibbles nibbles(key);
   bool removed = false;
-  root_ = Remove(std::move(root_), nibbles, &removed);
+  root_ = Remove(std::move(root_), nibbles.view(), &removed);
   if (removed) {
     --size_;
   }
@@ -463,15 +563,16 @@ size_t MerklePatriciaTrie::ApplyDiff(std::span<const TrieUpdate> updates) {
 }
 
 std::optional<Bytes> MerklePatriciaTrie::Get(BytesView key) const {
-  Bytes nibbles = ToNibbles(key);
-  return Lookup(root_.get(), nibbles);
+  Nibbles nibbles(key);
+  return Lookup(root_.get(), nibbles.view());
 }
 
 Hash256 MerklePatriciaTrie::RootHash() const {
   if (root_ == nullptr) {
-    return Keccak256(RlpEncodeBytes({}));  // 0x56e81f17... — the canonical empty root.
+    return EmptyRoot();
   }
-  return Keccak256(Encode(root_.get()));
+  EnsureRef(root_.get());
+  return NodeHash(root_.get());
 }
 
 // --- ShardedMpt -------------------------------------------------------------
@@ -501,30 +602,31 @@ int ShardedMpt::ShardOf(BytesView key) {
 void ShardedMpt::Put(BytesView key, BytesView value) {
   assert(!value.empty());
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
+  Nibbles nibbles(key);
   bool replaced = false;
-  roots_[shard] =
-      Insert(std::move(roots_[shard]), BytesView(nibbles).subspan(1), value, &replaced);
+  roots_[shard] = Insert(std::move(roots_[shard]), nibbles.view().subspan(1), value, &replaced);
   if (!replaced) {
     ++sizes_[shard];
   }
   mutated_[shard] = true;
+  root_stale_[shard] = true;
 }
 
 std::optional<Bytes> ShardedMpt::Get(BytesView key) const {
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
-  return Lookup(roots_[shard].get(), BytesView(nibbles).subspan(1));
+  Nibbles nibbles(key);
+  return Lookup(roots_[shard].get(), nibbles.view().subspan(1));
 }
 
 bool ShardedMpt::Delete(BytesView key) {
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
+  Nibbles nibbles(key);
   bool removed = false;
-  roots_[shard] = Remove(std::move(roots_[shard]), BytesView(nibbles).subspan(1), &removed);
+  roots_[shard] = Remove(std::move(roots_[shard]), nibbles.view().subspan(1), &removed);
   if (removed) {
     --sizes_[shard];
     mutated_[shard] = true;
+    root_stale_[shard] = true;
   }
   return removed;
 }
@@ -561,7 +663,7 @@ size_t ShardedMpt::ApplyShardDiff(int shard, std::span<const TrieUpdate> updates
 
 void ShardedMpt::PrehashShard(int shard) const {
   if (roots_[shard] != nullptr) {
-    Ref(roots_[shard].get());
+    EnsureRef(roots_[shard].get());
   }
 }
 
@@ -585,44 +687,45 @@ int ShardedMpt::LiveCount(int* lone) const {
 }
 
 // The monolithic root's RLP encoding, reassembled from shard references.
-Bytes ShardedMpt::JoinEncoding() const {
+void ShardedMpt::EncodeJoin(Bytes& out) const {
   int lone = -1;
   const int live = LiveCount(&lone);
   assert(live > 0);
-  std::vector<Bytes> items;
-  if (live == 1) {
-    const Node* shard_root = roots_[lone].get();
-    if (shard_root->type == Type::kBranch) {
-      // extension({lone}) -> shard branch.
-      items.push_back(RlpEncodeBytes(HexPrefix(Bytes{static_cast<uint8_t>(lone)},
-                                               /*is_leaf=*/false)));
-      items.push_back(Ref(shard_root));
-    } else {
-      // The shard root itself with the nibble prepended to its path.
-      Bytes path;
-      path.reserve(1 + shard_root->path.size());
-      path.push_back(static_cast<uint8_t>(lone));
-      path.insert(path.end(), shard_root->path.begin(), shard_root->path.end());
-      const bool is_leaf = shard_root->type == Type::kLeaf;
-      items.push_back(RlpEncodeBytes(HexPrefix(path, is_leaf)));
-      items.push_back(is_leaf ? RlpEncodeBytes(shard_root->value)
-                              : Ref(shard_root->child.get()));
-    }
-  } else {
-    for (int i = 0; i < kShards; ++i) {
-      items.push_back(roots_[i] ? Ref(roots_[i].get()) : RlpEncodeBytes({}));
-    }
-    items.push_back(RlpEncodeBytes({}));  // No value: every key has >= 2 nibbles.
+  if (live > 1) {
+    EncodeBranch(roots_, {}, out);  // No value: every key has >= 2 nibbles.
+    return;
   }
-  return RlpEncodeList(items);
+  const Node* shard_root = roots_[lone].get();
+  const uint8_t nibble = static_cast<uint8_t>(lone);
+  const BytesView lead(&nibble, 1);
+  if (shard_root->type == Type::kBranch) {
+    // extension({lone}) -> shard branch.
+    EnsureRef(shard_root);
+    EncodeShortNode(lead, {}, /*is_leaf=*/false, shard_root->Ref(), out);
+  } else {
+    // The shard root itself with the nibble prepended to its path.
+    EncodeInto(shard_root, lead, out);
+  }
 }
 
 Hash256 ShardedMpt::RootHash() const {
-  int lone = -1;
-  if (LiveCount(&lone) == 0) {
-    return Keccak256(RlpEncodeBytes({}));
+  bool stale = !root_known_;
+  for (bool& shard_stale : root_stale_) {
+    stale = stale || shard_stale;
+    shard_stale = false;
   }
-  return Keccak256(JoinEncoding());
+  if (stale) {
+    int lone = -1;
+    if (LiveCount(&lone) == 0) {
+      root_ = EmptyRoot();
+    } else {
+      Bytes& enc = Scratch();
+      EncodeJoin(enc);
+      root_ = Keccak256(enc);
+    }
+    root_known_ = true;
+  }
+  return root_;
 }
 
 void ShardedMpt::PrepareHarvest() const {
@@ -668,9 +771,11 @@ size_t ShardedMpt::FinishHarvestImpl(const NodeSink* sink) const {
   if (!dirty || live == 0) {
     return 0;  // Nothing mutated (or empty trie: the monolithic root is null).
   }
-  Bytes enc = JoinEncoding();
   if (sink != nullptr) {
-    (*sink)(Keccak256(enc), BytesView(enc.data(), enc.size()));
+    const Hash256 root = RootHash();
+    Bytes& enc = Scratch();
+    EncodeJoin(enc);
+    (*sink)(root, enc);
   }
   return 1;  // The root is always emitted, matching the monolithic harvest.
 }

@@ -9,21 +9,26 @@
 // absorbs one block's write-set diff instead of being rebuilt from a full
 // state snapshot.
 //
-// Incremental roots: every node memoizes its RLP encoding and its reference
-// (the encoding if < 32 bytes, else the RLP of its keccak hash); mutations
-// invalidate the memo along the touched spine only. RootHash after a k-key
-// diff therefore re-hashes O(k · depth) nodes, not the whole trie — the
-// asymptotic win that lets the chain runner's committer stage keep up with
-// streaming execution. Memoization is invisible to results: roots stay
-// bit-identical to a from-scratch build (locked in by the MptPropertyTest
-// randomized battery).
+// Incremental roots: every node memoizes its parent-visible reference in a
+// fixed 33-byte slot — the RLP of keccak(encoding), or the encoding itself
+// when that is shorter than 32 bytes. Encodings are transient: each one is
+// written once into a per-thread scratch buffer (list prefix and items in
+// place, child references copied straight from the children's slots), hashed,
+// and dropped, so re-rooting allocates nothing. Mutations invalidate the
+// reference along the touched spine only; RootHash after a k-key diff
+// therefore re-hashes O(k · depth) nodes, not the whole trie — the asymptotic
+// win that lets the chain runner's committer stage keep up with streaming
+// execution. Memoization is invisible to results: roots stay bit-identical to
+// a from-scratch build (locked in by the MptPropertyTest randomized battery and
+// the MptEncoderDifferentialTest reference encoder).
 //
 // Durability hook (src/chain/node_store.h): every node additionally carries a
 // `persisted` flag, cleared whenever the node is dirtied. HarvestDirtyNodes
 // walks the not-yet-persisted region and emits each hash-referenced node's
 // (keccak(encoding), encoding) pair — exactly the records a persistent node
 // store (LevelDB-style) would write for the block, O(dirty spine) like the
-// re-rooting itself.
+// re-rooting itself. The hash is read from the reference memo (hash once per
+// mutation); the encoding is rebuilt in scratch only to hand it to the sink.
 #ifndef SRC_TRIE_MPT_H_
 #define SRC_TRIE_MPT_H_
 
@@ -72,12 +77,15 @@ class MerklePatriciaTrie {
 
   // Keccak-256 root. The empty trie hashes to
   // keccak(rlp("")) = 0x56e81f17...63b421, matching Ethereum. Amortized
-  // O(dirty spine) thanks to the per-node encoding memo.
+  // O(dirty spine) thanks to the per-node reference memo.
   Hash256 RootHash() const;
 
   size_t size() const { return size_; }
 
-  // Receives one dirty node: its reference hash and RLP encoding.
+  // Receives one dirty node: its reference hash and RLP encoding. The
+  // encoding view points into the calling thread's scratch buffer and is valid
+  // only for the duration of the call; the sink must not call back into a
+  // trie.
   using NodeSink = std::function<void(const Hash256&, BytesView)>;
 
   // Emits every node whose encoding changed since the last harvest (or ever,
@@ -149,8 +157,8 @@ class ShardedMpt {
   // Applies one shard's updates in order; every key must map to `shard`.
   size_t ApplyShardDiff(int shard, std::span<const TrieUpdate> updates);
 
-  // Forces the shard root's encoding + reference memo — the expensive keccak
-  // work of RootHash — so a later serial RootHash only joins 16 warm refs.
+  // Forces the shard root's reference memo — the expensive keccak work of
+  // RootHash — so a later serial RootHash only joins 16 warm refs.
   void PrehashShard(int shard) const;
 
   // Harvest protocol: serial PrepareHarvest, then HarvestShard for each shard
@@ -165,7 +173,7 @@ class ShardedMpt {
  private:
   size_t HarvestShardImpl(int shard, const NodeSink* sink) const;
   size_t FinishHarvestImpl(const NodeSink* sink) const;
-  Bytes JoinEncoding() const;
+  void EncodeJoin(Bytes& out) const;
   int LiveCount(int* lone) const;
 
   std::array<std::unique_ptr<MerklePatriciaTrie::Node>, kShards> roots_;
@@ -174,6 +182,11 @@ class ShardedMpt {
   // "is the join root dirty" decision exactly like the monolithic root's
   // persisted flag (every mutation dirties the monolithic root spine).
   mutable std::array<bool, kShards> mutated_{};
+  // Root memo: RootHash hashes the join only when a shard mutated since the
+  // last call. Per-shard flags, so shard-parallel mutations never share one.
+  mutable std::array<bool, kShards> root_stale_{};
+  mutable Hash256 root_{};
+  mutable bool root_known_ = false;
   // When the last harvest had exactly one live shard whose root is a leaf or
   // extension, that root was published only merged into the synthetic join
   // (nibble prepended) — it is not a standalone node of the monolithic trie.

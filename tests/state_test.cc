@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/state/state_view.h"
 #include "src/state/world_state.h"
 
@@ -84,6 +86,23 @@ TEST(WorldStateTest, StateRootIsContentAddressed) {
   b.SetBalance(kBob, U256(1));
   EXPECT_NE(HexEncode(a.StateRoot()), HexEncode(b.StateRoot()));
   EXPECT_NE(a.Digest(), b.Digest());
+}
+
+// The account body written straight into one buffer, against hand-encoded
+// RLP: short and long (> 55-byte) list prefixes, the empty-string zero,
+// single-byte and multi-byte integers, and a full 32-byte balance.
+TEST(WorldStateTest, AccountBodyMatchesHandEncodedRlp) {
+  Hash256 root;
+  root.fill(0x11);
+  Hash256 code;
+  code.fill(0x22);
+  const std::string hashes = "a0" + std::string(64, '1') + "a0" + std::string(64, '2');
+  EXPECT_EQ(HexEncode(RlpAccountBody(0, U256(0), root, code)), "f8448080" + hashes);
+  EXPECT_EQ(HexEncode(RlpAccountBody(1, U256(1024), root, code)), "f84601820400" + hashes);
+  EXPECT_EQ(HexEncode(RlpAccountBody(0x80, U256(0x7f), root, code)), "f84581807f" + hashes);
+  const U256 top = U256::Shl(U256(255), U256(1));
+  EXPECT_EQ(HexEncode(RlpAccountBody(0x7f, top, root, code)),
+            "f8647fa080" + std::string(62, '0') + hashes);
 }
 
 TEST(StateViewTest, ReadsFallThroughAndRecord) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -536,6 +537,250 @@ TEST_P(ShardedMptPropertyTest, ChurnKeepsRootsAndHarvestsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedMptPropertyTest,
                          ::testing::Values(101, 102, 203, 204, 305));
+
+// --- Encoder differential: the memoized in-place encoder against a naive
+// from-scratch reference. The reference rebuilds the trie from the sorted
+// contents (yellow paper appendix D's structural definition) and encodes
+// every node as a vector of separately encoded items joined at the end, with
+// its own RLP, so it shares no code with src/trie or src/support/rlp.
+
+// How often the reference met each encoding shape, so the test can show its
+// inputs reach every one of them.
+struct RefShapes {
+  size_t inline_children = 0;
+  size_t long_strings = 0;
+  size_t long_lists = 0;
+  size_t branch_values = 0;
+};
+RefShapes ref_shapes;
+
+Bytes RefRlpLength(size_t len, uint8_t base) {
+  if (len <= 55) {
+    return {static_cast<uint8_t>(base + len)};
+  }
+  ++(base == 0x80 ? ref_shapes.long_strings : ref_shapes.long_lists);
+  Bytes len_bytes;
+  for (size_t v = len; v > 0; v >>= 8) {
+    len_bytes.insert(len_bytes.begin(), static_cast<uint8_t>(v & 0xff));
+  }
+  Bytes out = {static_cast<uint8_t>(base + 55 + len_bytes.size())};
+  out.insert(out.end(), len_bytes.begin(), len_bytes.end());
+  return out;
+}
+
+Bytes RefRlpString(const Bytes& data) {
+  if (data.size() == 1 && data[0] < 0x80) {
+    return data;
+  }
+  Bytes out = RefRlpLength(data.size(), 0x80);
+  out.insert(out.end(), data.begin(), data.end());
+  return out;
+}
+
+Bytes RefRlpList(const std::vector<Bytes>& items) {
+  Bytes payload;
+  for (const Bytes& item : items) {
+    payload.insert(payload.end(), item.begin(), item.end());
+  }
+  Bytes out = RefRlpLength(payload.size(), 0xc0);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+// RLP of the hex-prefix encoding of `nibbles`.
+Bytes RefHexPrefix(const Bytes& nibbles, bool is_leaf) {
+  const uint8_t flag = is_leaf ? 2 : 0;
+  Bytes out;
+  size_t i = 0;
+  if (nibbles.size() % 2 != 0) {
+    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]));
+    i = 1;
+  } else {
+    out.push_back(static_cast<uint8_t>(flag << 4));
+  }
+  for (; i < nibbles.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+  }
+  return RefRlpString(out);
+}
+
+using RefItems = std::vector<std::pair<Bytes, Bytes>>;  // Sorted (nibble key, value).
+
+Bytes RefEncode(const RefItems& items, size_t depth);
+
+Bytes RefChildRef(const RefItems& items, size_t depth) {
+  Bytes enc = RefEncode(items, depth);
+  if (enc.size() < 32) {
+    ++ref_shapes.inline_children;
+    return enc;
+  }
+  Hash256 hash = Keccak256(BytesView(enc.data(), enc.size()));
+  return RefRlpString(Bytes(hash.begin(), hash.end()));
+}
+
+// Encodes the node holding `items`, whose keys all share nibbles [0, depth).
+Bytes RefEncode(const RefItems& items, size_t depth) {
+  if (items.size() == 1) {
+    const auto& [key, value] = items[0];
+    return RefRlpList({RefHexPrefix(Bytes(key.begin() + static_cast<long>(depth), key.end()),
+                                    /*is_leaf=*/true),
+                       RefRlpString(value)});
+  }
+  // Sorted keys: the shared prefix of the first and last is everyone's.
+  const Bytes& first = items.front().first;
+  const Bytes& last = items.back().first;
+  size_t shared = depth;
+  while (shared < first.size() && shared < last.size() && first[shared] == last[shared]) {
+    ++shared;
+  }
+  if (shared > depth) {
+    return RefRlpList(
+        {RefHexPrefix(Bytes(first.begin() + static_cast<long>(depth),
+                            first.begin() + static_cast<long>(shared)),
+                      /*is_leaf=*/false),
+         RefChildRef(items, shared)});
+  }
+  std::vector<Bytes> branch(17, RefRlpString({}));
+  std::array<RefItems, 16> buckets;
+  for (const auto& item : items) {
+    if (item.first.size() == depth) {
+      ++ref_shapes.branch_values;
+      branch[16] = RefRlpString(item.second);
+    } else {
+      buckets[item.first[depth]].push_back(item);
+    }
+  }
+  for (size_t nib = 0; nib < 16; ++nib) {
+    if (!buckets[nib].empty()) {
+      branch[nib] = RefChildRef(buckets[nib], depth + 1);
+    }
+  }
+  return RefRlpList(branch);
+}
+
+Hash256 ReferenceRoot(const std::map<Bytes, Bytes>& contents) {
+  RefItems items;
+  for (const auto& [key, value] : contents) {
+    Bytes nibbles;
+    for (uint8_t b : key) {
+      nibbles.push_back(b >> 4);
+      nibbles.push_back(b & 0xf);
+    }
+    items.emplace_back(std::move(nibbles), value);
+  }
+  Bytes enc = items.empty() ? RefRlpString({}) : RefEncode(items, 0);
+  return Keccak256(BytesView(enc.data(), enc.size()));
+}
+
+// Keys of 1-40 bytes and values of 1-100 bytes: inline (< 32-byte) children,
+// long-string (> 55-byte value) and long-list prefixes, branch values (one
+// key a prefix of another) and deep shared paths all occur. Put, Delete,
+// ApplyDiff, RootHash and HarvestDirtyNodes interleave; every harvested pair
+// must be content-addressed, which guards the reuse of the memoized hash.
+class MptEncoderDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MptEncoderDifferentialTest, RootsMatchReferenceEncoder) {
+  std::mt19937_64 rng(GetParam());
+  ref_shapes = {};
+  MerklePatriciaTrie mono;
+  ShardedMpt sharded;
+  std::map<Bytes, Bytes> oracle;
+  auto random_key = [&]() {
+    if (!oracle.empty() && rng() % 3 == 0) {
+      // Extend or cut an existing key: branch values and long extensions.
+      auto it = oracle.begin();
+      std::advance(it, static_cast<long>(rng() % oracle.size()));
+      Bytes key = it->first;
+      if (key.size() > 1 && rng() % 2 == 0) {
+        key.resize(1 + rng() % (key.size() - 1));
+      } else {
+        key.resize(std::min<size_t>(40, key.size() + 1 + rng() % 8),
+                   static_cast<uint8_t>(rng() % 3));
+      }
+      return key;
+    }
+    Bytes key(1 + rng() % 40);
+    key[0] = static_cast<uint8_t>(rng() % 4 * 0x50);  // A few shards, shared first nibbles.
+    for (size_t i = 1; i < key.size(); ++i) {
+      key[i] = static_cast<uint8_t>(rng() % 3);
+    }
+    return key;
+  };
+  auto random_value = [&]() {
+    Bytes value(rng() % 2 == 0 ? 1 + rng() % 4 : 1 + rng() % 100);
+    for (auto& b : value) {
+      b = static_cast<uint8_t>(rng());
+    }
+    return value;
+  };
+  auto check_harvest = [](auto& trie) {
+    size_t emitted = trie.HarvestDirtyNodes([](const Hash256& hash, BytesView encoding) {
+      ASSERT_EQ(HexEncode(Keccak256(encoding)), HexEncode(hash));
+    });
+    return emitted;
+  };
+  for (int step = 0; step < 600; ++step) {
+    switch (rng() % 8) {
+      case 0: {
+        std::vector<TrieUpdate> updates(1 + rng() % 6);
+        for (TrieUpdate& update : updates) {
+          update.key = random_key();
+          if (rng() % 3 != 0) {
+            update.value = random_value();
+            oracle[update.key] = update.value;
+          } else {
+            oracle.erase(update.key);
+          }
+        }
+        ASSERT_EQ(mono.ApplyDiff(updates), sharded.ApplyDiff(updates)) << "step " << step;
+        break;
+      }
+      case 1:
+      case 2: {
+        Bytes key = random_key();
+        const bool had = oracle.erase(key) > 0;
+        ASSERT_EQ(mono.Delete(key), had) << "step " << step;
+        ASSERT_EQ(sharded.Delete(key), had) << "step " << step;
+        break;
+      }
+      case 3:
+        // Harvest before any RootHash this step: the walk computes the
+        // references it hands out itself.
+        ASSERT_EQ(check_harvest(mono), check_harvest(sharded)) << "step " << step;
+        break;
+      default: {
+        Bytes key = random_key();
+        Bytes value = random_value();
+        mono.Put(key, value);
+        sharded.Put(key, value);
+        oracle[key] = value;
+        break;
+      }
+    }
+    ASSERT_EQ(mono.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(sharded.size(), oracle.size()) << "step " << step;
+    if (rng() % 2 == 0) {
+      // Check only every other step, so some references go stale across
+      // several mutations before they are recomputed.
+      const std::string expected = HexEncode(ReferenceRoot(oracle));
+      ASSERT_EQ(HexEncode(mono.RootHash()), expected) << "step " << step;
+      ASSERT_EQ(HexEncode(sharded.RootHash()), expected) << "step " << step;
+      if (rng() % 4 == 0) {
+        ASSERT_EQ(check_harvest(mono), check_harvest(sharded)) << "step " << step;
+      }
+    }
+  }
+  for (const auto& [key, value] : oracle) {
+    ASSERT_EQ(mono.Get(key), value);
+    ASSERT_EQ(sharded.Get(key), value);
+  }
+  EXPECT_GT(ref_shapes.inline_children, 0u);
+  EXPECT_GT(ref_shapes.long_strings, 0u);
+  EXPECT_GT(ref_shapes.long_lists, 0u);
+  EXPECT_GT(ref_shapes.branch_values, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MptEncoderDifferentialTest, ::testing::Values(3, 14, 15, 92));
 
 // The parallel surface under real threads (TSan gate material): one thread
 // per shard replays its slice and pre-hashes, then the bracketed harvest
